@@ -1,8 +1,9 @@
 /**
  * @file
  * Chrono-based microbenchmarks for the two hot paths this repo's perf
- * work tracks: whole simulate() calls per machine kind, and the
- * statevector amplitude kernels. Emits BENCH_micro.json so successive
+ * work tracks: whole simulate() calls per machine kind (plus the
+ * per-job Machine setup in front of each), and the statevector
+ * amplitude kernels. Emits BENCH_micro.json so successive
  * runs are machine-comparable (tools/bench_diff.py fails CI on >10%
  * regressions).
  *
@@ -174,6 +175,38 @@ main(int argc, char **argv)
                           doNotOptimize(machine.pmExecuted());
                       }),
                "instruction", adder.size(), "ns_per_ff_instr");
+    }
+
+    // ---- per-job Machine setup -----------------------------------------
+    // What every sweep job pays before its first instruction: region
+    // and bank placement plus ready-timeline sizing, here at a 60k
+    // prefix of a 0.36M-instruction (smoke) or 0.64M-instruction
+    // SELECT program. Sizing reads the program's per-limit prefix
+    // memo, so the cost must not grow with program length; a per-job
+    // O(program) scan would raise it by more than an order of
+    // magnitude.
+    {
+        SelectParams params;
+        params.width = args.smoke ? 31 : 41;
+        const Circuit lowered = lowerToCliffordT(makeSelect(params));
+        const Program select = translate(lowered);
+        SimOptions opts;
+        opts.arch.sam = SamKind::Point;
+        opts.maxInstructions = 60000;
+        const std::int64_t setupsPerRep = args.smoke ? 20 : 100;
+        // The first job at a prefix fills the memo; time the rest.
+        detail::Machine<SamKind::Point, false> first(select, opts);
+        doNotOptimize(first.pmExecuted());
+        record("sim/machine-setup",
+               bestOf(simReps,
+                      [&] {
+                          for (std::int64_t i = 0; i < setupsPerRep; ++i) {
+                              detail::Machine<SamKind::Point, false>
+                                  machine(select, opts);
+                              doNotOptimize(machine.pmExecuted());
+                          }
+                      }),
+               "construction", setupsPerRep, "ns_per_machine_setup");
     }
 
     // ---- bank cost-model kernels ---------------------------------------

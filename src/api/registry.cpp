@@ -258,9 +258,14 @@ BenchmarkRegistry::program(const std::string &name, const Json &params,
         std::to_string(translate_options.crSlots);
     auto found = programs_.find(key);
     if (found == programs_.end()) {
-        auto program = std::make_unique<Program>(translate(
-            lowerToCliffordT(bench.synthesize(canonical)),
-            translate_options));
+        // Two statements, so the synthesized circuit is freed before
+        // translation: only the lowered one stays alive next to the
+        // Program being built (this sets the peak memory of
+        // full-length SELECT sweeps).
+        const Circuit lowered =
+            lowerToCliffordT(bench.synthesize(canonical));
+        auto program = std::make_unique<Program>(
+            translate(lowered, translate_options));
         found = programs_.emplace(key, std::move(program)).first;
     }
     return *found->second;

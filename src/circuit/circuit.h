@@ -51,7 +51,12 @@ class Circuit
 
     std::int32_t numQubits() const { return numQubits_; }
     std::int32_t numClassicalBits() const { return numBits_; }
-    const std::vector<Gate> &gates() const { return gates_; }
+    /**
+     * Lvalues only: `for (g : makeCircuit().gates())` would iterate a
+     * reference into a destroyed temporary, so it does not compile.
+     */
+    const std::vector<Gate> &gates() const & { return gates_; }
+    const std::vector<Gate> &gates() const && = delete;
     const std::vector<QubitRegister> &registers() const { return regs_; }
 
     /** Register index owning qubit @p q; -1 when q is anonymous. */

@@ -62,6 +62,7 @@ Program::append(const Instruction &inst)
                           ": value operand not allocated");
     code_.push_back(inst);
     refCounts_ = nullptr;
+    prefixExtents_ = nullptr;
     streamIndex_ = nullptr;
 }
 
@@ -107,6 +108,38 @@ Program::referenceCounts() const
     return *memo;
 }
 
+PrefixExtent
+Program::prefixExtent(std::int64_t limit) const
+{
+    using Memo = std::map<std::int64_t, PrefixExtent>;
+    limit = std::clamp<std::int64_t>(limit, 0, size());
+    auto memo = std::atomic_load_explicit(&prefixExtents_,
+                                          std::memory_order_acquire);
+    if (memo) {
+        const auto found = memo->find(limit);
+        if (found != memo->end())
+            return found->second;
+    }
+    PrefixExtent extent;
+    for (std::int64_t i = 0; i < limit; ++i) {
+        const Instruction &inst = code_[static_cast<std::size_t>(i)];
+        extent.maxSlot = std::max({extent.maxSlot, inst.c0, inst.c1});
+        extent.maxValue = std::max(extent.maxValue, inst.v0);
+    }
+    // Publish onto the newest map: a concurrent query for another
+    // limit may have replaced the one loaded above.
+    for (;;) {
+        auto next = memo ? std::make_shared<Memo>(*memo)
+                         : std::make_shared<Memo>();
+        next->emplace(limit, extent);
+        if (std::atomic_compare_exchange_weak_explicit(
+                &prefixExtents_, &memo,
+                std::shared_ptr<const Memo>(std::move(next)),
+                std::memory_order_acq_rel, std::memory_order_acquire))
+            return extent;
+    }
+}
+
 std::shared_ptr<const StreamIndex>
 Program::streamIndex() const
 {
@@ -117,8 +150,6 @@ Program::streamIndex() const
     const std::size_t n = code_.size();
     index->countedPrefix.resize(n + 1, 0);
     index->pmPrefix.resize(n + 1, 0);
-    index->maxSlotPrefix.resize(n + 1, -1);
-    index->maxValPrefix.resize(n + 1, -1);
     for (std::size_t i = 0; i < n; ++i) {
         const Instruction &inst = code_[i];
         index->countedPrefix[i + 1] =
@@ -126,10 +157,6 @@ Program::streamIndex() const
             (inst.op != Opcode::LD && inst.op != Opcode::ST);
         index->pmPrefix[i + 1] =
             index->pmPrefix[i] + (inst.op == Opcode::PM);
-        index->maxSlotPrefix[i + 1] = std::max(
-            {index->maxSlotPrefix[i], inst.c0, inst.c1});
-        index->maxValPrefix[i + 1] =
-            std::max(index->maxValPrefix[i], inst.v0);
         if (inst.op == Opcode::PM || opcodeInfo(inst.op).numMem >= 1)
             index->memOps.push_back(static_cast<std::int64_t>(i));
     }

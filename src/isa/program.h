@@ -12,6 +12,7 @@
  */
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,10 +30,12 @@ struct VariableRegister
 };
 
 /**
- * Memoized per-instruction prefix data over a Program, shared by every
- * consumer that would otherwise rescan the stream per job (the sampled
- * estimator walks skipped spans through memOps instead of the whole
- * code vector; see src/estimate/).
+ * Per-instruction prefix data over a Program, read only by the sampled
+ * estimator (src/estimate/): CPI denominators and magic consumption
+ * over any span without re-walking it, and the skip-list its
+ * fast-forward path walks instead of the whole code vector. It costs
+ * about 16 B per instruction plus 8 B per memory op, so the exact
+ * simulator never builds it (see Program::prefixExtent()).
  */
 struct StreamIndex
 {
@@ -45,10 +48,13 @@ struct StreamIndex
      * the only opcodes that can change functional machine state.
      */
     std::vector<std::int64_t> memOps;
-    /** maxSlotPrefix[i] = largest CR slot referenced in [0, i), or -1. */
-    std::vector<std::int32_t> maxSlotPrefix;
-    /** maxValPrefix[i] = largest value slot referenced in [0, i), or -1. */
-    std::vector<std::int32_t> maxValPrefix;
+};
+
+/** Highest CR slot and value slot a prefix references; -1 if none. */
+struct PrefixExtent
+{
+    std::int32_t maxSlot = -1;
+    std::int32_t maxValue = -1;
 };
 
 /** An LSQCA instruction sequence plus symbol-table metadata. */
@@ -78,6 +84,13 @@ class Program
     /** Append a validated instruction. */
     void append(const Instruction &inst);
 
+    /** Allocate room for @p instructions in total (no effect on size()). */
+    void
+    reserve(std::int64_t instructions)
+    {
+        code_.reserve(static_cast<std::size_t>(instructions));
+    }
+
     std::int64_t size() const
     {
         return static_cast<std::int64_t>(code_.size());
@@ -104,9 +117,18 @@ class Program
     std::vector<std::int64_t> referenceCounts() const;
 
     /**
-     * Prefix-sum / memory-op index over the stream, memoized with the
-     * same contract as referenceCounts(): computed on first call,
-     * invalidated by append(), safe under concurrent readers.
+     * Highest CR slot and value slot referenced in [0, @p limit)
+     * (@p limit clamped to [0, size()]); the simulator sizes its ready
+     * timelines from it. Memoized per limit with the same contract as
+     * referenceCounts(): a sweep runs every job of a program at one
+     * prefix, so only the first job at each limit scans the stream.
+     */
+    PrefixExtent prefixExtent(std::int64_t limit) const;
+
+    /**
+     * The sampled estimator's prefix-sum / memory-op index, memoized
+     * with the same contract as referenceCounts(): computed on first
+     * call, invalidated by append(), safe under concurrent readers.
      */
     std::shared_ptr<const StreamIndex> streamIndex() const;
 
@@ -120,6 +142,10 @@ class Program
     std::vector<VariableRegister> regs_;
     /** referenceCounts() memo; reset by append(). */
     mutable std::shared_ptr<const std::vector<std::int64_t>> refCounts_;
+    /** prefixExtent() memo keyed by limit, copy-on-write; reset by
+     *  append(). */
+    mutable std::shared_ptr<const std::map<std::int64_t, PrefixExtent>>
+        prefixExtents_;
     /** streamIndex() memo; reset by append(). */
     mutable std::shared_ptr<const StreamIndex> streamIndex_;
 };

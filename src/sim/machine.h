@@ -118,19 +118,19 @@ class Machine
         setupBanks();
         // Size the ready timelines by the simulated prefix, not the
         // whole program: slots past the prefix maxima are never read
-        // or written, and the memoized StreamIndex replaces what used
-        // to be an O(program) scan per Machine — per-job construction
-        // cost dominated the fig14 sweeps before this.
+        // or written. Program::prefixExtent() memoizes the maxima per
+        // limit, so only the first job at each prefix scans the
+        // stream — an O(program) scan per Machine dominated the fig14
+        // sweeps. The sampled estimator's StreamIndex (16+ B per
+        // instruction) is deliberately not consulted here.
         std::int64_t limit = prog.size();
         if (opts.maxInstructions > 0)
             limit = std::min(limit, opts.maxInstructions);
-        const auto index = prog.streamIndex();
-        const std::size_t li = static_cast<std::size_t>(limit);
+        const PrefixExtent extent = prog.prefixExtent(limit);
         varReady_.assign(static_cast<std::size_t>(prog.numVariables()), 0);
-        valReady_.assign(
-            static_cast<std::size_t>(index->maxValPrefix[li] + 1), 0);
+        valReady_.assign(static_cast<std::size_t>(extent.maxValue + 1), 0);
         const std::int32_t max_slot =
-            std::max<std::int32_t>(1, index->maxSlotPrefix[li]);
+            std::max<std::int32_t>(1, extent.maxSlot);
         slotReady_.assign(static_cast<std::size_t>(max_slot) + 1, 0);
         scanFree_.assign(static_cast<std::size_t>(cfg_.banks), 0);
     }

@@ -26,16 +26,48 @@ class Emitter
     Program
     run()
     {
+        // Allocate the stream once. Grown by doubling, a full-length
+        // SELECT program is copied about twice and faults in about
+        // twice its final size in fresh pages, which cost more setup
+        // time than this extra pass over the gates.
+        std::int64_t expected = 0;
+        for (const auto &g : circ_.gates())
+            expected += instructionsFor(g);
+        prog_.reserve(expected);
         for (const auto &g : circ_.gates()) {
             LSQCA_REQUIRE(isCliffordTGate(g.kind),
                           std::string("translate: non-Clifford+T gate: ") +
                               gateName(g.kind));
             emitGate(g);
         }
+        LSQCA_ASSERT(prog_.size() == expected,
+                     "instructionsFor() disagrees with emitGate()");
         return std::move(prog_);
     }
 
   private:
+    /** Instructions emitGate() appends for Clifford+T gate @p g. */
+    std::int64_t
+    instructionsFor(const Gate &g) const
+    {
+        const std::int64_t guarded = g.condBit == kNoBit ? 0 : 1;
+        switch (g.kind) {
+          case GateKind::X:
+          case GateKind::Y:
+          case GateKind::Z:
+            return 0;
+          case GateKind::H:
+          case GateKind::S:
+          case GateKind::Sdg:
+            return guarded + (opts_.inMemoryOps ? 1 : 3);
+          case GateKind::T:
+          case GateKind::Tdg:
+            return opts_.inMemoryOps ? 5 : 7;
+          default:
+            return guarded + 1;
+        }
+    }
+
     /** Next CR slot in round-robin order. */
     std::int32_t
     nextSlot()

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.h"
 
 namespace lsqca {
@@ -117,6 +119,91 @@ TEST(Program, ReferenceCountsOverMemoryOperands)
     EXPECT_EQ(refs[0], 2);
     EXPECT_EQ(refs[1], 0);
     EXPECT_EQ(refs[2], 1);
+}
+
+/** Brute-force reference for Program::prefixExtent(). */
+PrefixExtent
+scanExtent(const Program &p, std::int64_t limit)
+{
+    PrefixExtent extent;
+    for (std::int64_t i = 0; i < limit; ++i) {
+        const Instruction &inst =
+            p.instructions()[static_cast<std::size_t>(i)];
+        extent.maxSlot = std::max({extent.maxSlot, inst.c0, inst.c1});
+        extent.maxValue = std::max(extent.maxValue, inst.v0);
+    }
+    return extent;
+}
+
+/** CR slots and values referenced out of order, some never at all. */
+Program
+scrambledSlotsProgram()
+{
+    Program p(4);
+    for (int i = 0; i < 6; ++i)
+        p.newValue();
+    Instruction mzz;
+    mzz.op = Opcode::MZZ_C;
+    mzz.c0 = 3;
+    mzz.c1 = 1;
+    mzz.v0 = 4;
+    p.append(mzz);
+    p.append(makeLd(2, 0));
+    Instruction mz;
+    mz.op = Opcode::MZ_M;
+    mz.m0 = 1;
+    mz.v0 = 1;
+    p.append(mz);
+    Instruction sk;
+    sk.op = Opcode::SK;
+    sk.v0 = 5;
+    p.append(sk);
+    p.append(makeLd(0, 6));
+    Instruction cx;
+    cx.op = Opcode::CX;
+    cx.m0 = 3;
+    cx.m1 = 0;
+    p.append(cx);
+    mzz.c0 = 2;
+    mzz.c1 = 5;
+    mzz.v0 = 0;
+    p.append(mzz);
+    return p;
+}
+
+TEST(Program, PrefixExtentMatchesBruteForceAtEveryLimit)
+{
+    const Program p = scrambledSlotsProgram();
+    // Descending, so no query can be served by a scan of a longer one.
+    for (std::int64_t limit = p.size(); limit >= 0; --limit) {
+        const PrefixExtent want = scanExtent(p, limit);
+        for (int repeat = 0; repeat < 2; ++repeat) { // miss, then memo
+            const PrefixExtent got = p.prefixExtent(limit);
+            EXPECT_EQ(got.maxSlot, want.maxSlot) << "limit " << limit;
+            EXPECT_EQ(got.maxValue, want.maxValue) << "limit " << limit;
+        }
+    }
+    EXPECT_EQ(p.prefixExtent(0).maxSlot, -1);
+    EXPECT_EQ(p.prefixExtent(0).maxValue, -1);
+    EXPECT_EQ(p.prefixExtent(p.size()).maxSlot, 6);
+    EXPECT_EQ(p.prefixExtent(p.size()).maxValue, 5);
+    // Limits past the end clamp to the whole program.
+    EXPECT_EQ(p.prefixExtent(p.size() + 100).maxSlot, 6);
+}
+
+TEST(Program, AppendInvalidatesPrefixExtent)
+{
+    Program p = scrambledSlotsProgram();
+    const std::int64_t before = p.size();
+    EXPECT_EQ(p.prefixExtent(before).maxSlot, 6);
+    EXPECT_EQ(p.prefixExtent(before + 1).maxSlot, 6);
+    p.append(makeLd(1, 9));
+    // The same query answered before the append now reaches the new
+    // instruction; shorter prefixes are unchanged.
+    EXPECT_EQ(p.prefixExtent(before + 1).maxSlot, 9);
+    EXPECT_EQ(p.prefixExtent(before).maxSlot, 6);
+    const Program copy = p;
+    EXPECT_EQ(copy.prefixExtent(copy.size()).maxSlot, 9);
 }
 
 TEST(Program, DisassemblyFormat)

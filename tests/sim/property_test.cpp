@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "circuit/lowering.h"
 #include "common/rng.h"
 #include "sim/simulator.h"
@@ -153,6 +159,63 @@ TEST_P(SchedulerProperties, TruncatedPrefixNeverExceedsFullTime)
     opts.maxInstructions = p.size() / 2;
     const auto half = simulate(p, opts).execBeats;
     EXPECT_LE(half, full);
+}
+
+TEST_P(SchedulerProperties, SharedProgramPrefixesMatchFreshCopies)
+{
+    // Every sweep thread sizes its Machine from the same Program's
+    // per-limit prefix memo. Several prefixes of one shared program,
+    // simulated in shuffled order from several threads at once, must
+    // equal each prefix simulated on a fresh copy with an empty memo.
+    const Program shared = program();
+    const std::int64_t n = shared.size();
+    // Repeats and 0 (= the whole program) included on purpose.
+    const std::vector<std::int64_t> limits = {
+        1, 2, 17, n / 3, n / 2, n - 1, n, n + 5, 0, n / 3, 2 * n / 3, 3};
+    std::vector<SimResult> expected;
+    for (const std::int64_t limit : limits) {
+        const Program fresh = shared;
+        SimOptions opts = options();
+        opts.maxInstructions = limit;
+        expected.push_back(simulate(fresh, opts));
+    }
+
+    constexpr int kThreads = 4;
+    std::vector<std::vector<std::size_t>> orders(kThreads);
+    std::vector<std::vector<SimResult>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        orders[t].resize(limits.size());
+        std::iota(orders[t].begin(), orders[t].end(), std::size_t{0});
+        Rng rng(GetParam().seed * 131 + static_cast<std::uint64_t>(t));
+        std::shuffle(orders[t].begin(), orders[t].end(), rng);
+        threads.emplace_back([&, t] {
+            for (const std::size_t i : orders[t]) {
+                SimOptions opts = options();
+                opts.maxInstructions = limits[i];
+                got[t].push_back(simulate(shared, opts));
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+
+    for (int t = 0; t < kThreads; ++t) {
+        for (std::size_t k = 0; k < orders[t].size(); ++k) {
+            const std::size_t i = orders[t][k];
+            const SimResult &want = expected[i];
+            const SimResult &have = got[t][k];
+            SCOPED_TRACE("thread " + std::to_string(t) + ", limit " +
+                         std::to_string(limits[i]));
+            EXPECT_EQ(have.instructionsSimulated,
+                      want.instructionsSimulated);
+            EXPECT_EQ(have.countedInstructions, want.countedInstructions);
+            EXPECT_EQ(have.execBeats, want.execBeats);
+            EXPECT_EQ(have.memoryBeats, want.memoryBeats);
+            EXPECT_EQ(have.magicConsumed, want.magicConsumed);
+            EXPECT_EQ(have.magicStallBeats, want.magicStallBeats);
+        }
+    }
 }
 
 TEST_P(SchedulerProperties, InMemoryOpsNeverSlower)
