@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
-#include <thread>
 
 #include "arch/line_sam.h"
 #include "arch/point_sam.h"
@@ -26,8 +25,6 @@
 #include "circuit/statevector.h"
 #include "common/fs.h"
 #include "common/json.h"
-#include "daemon/client.h"
-#include "daemon/daemon.h"
 #include "geom/grid.h"
 #include "service/journal.h"
 #include "sim/machine.h"
@@ -322,42 +319,6 @@ main(int argc, char **argv)
                       }),
                "append", appendsPerRep, "ns_per_journal_append");
         fsutil::removeFile(path);
-    }
-
-    {
-        // Daemon control-plane latency (docs/DAEMON.md): one ping
-        // frame over the Unix socket — client write, poll-loop
-        // wakeup, parse, dispatch, response write, client read.
-        // Bounds how much chatty clients (status pollers, watch
-        // streams) can perturb the serve loop's scheduling.
-        const std::int64_t pingsPerRep = args.smoke ? 200 : 2000;
-        daemon::DaemonOptions options;
-        options.root = args.outDir + "/daemon_bench";
-        options.workers = 1;
-        // No campaigns are submitted; the worker binary is never run.
-        options.workerExe = "unused";
-        options.handleSignals = false;
-        options.pollSeconds = 0.001;
-        daemon::Daemon server(std::move(options));
-        std::thread serveThread([&] { server.run(); });
-        while (!fsutil::exists(server.socketPath()))
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        {
-            daemon::Client client(server.socketPath());
-            Json ping = Json::object();
-            ping.set("op", "ping");
-            record("daemon/ping-roundtrip",
-                   bestOf(bankReps,
-                          [&] {
-                              for (std::int64_t i = 0;
-                                   i < pingsPerRep; ++i)
-                                  client.call(ping);
-                          }),
-                   "roundtrip", pingsPerRep,
-                   "ns_per_daemon_roundtrip");
-        }
-        server.requestStop();
-        serveThread.join();
     }
 
     // ---- statevector kernels -------------------------------------------

@@ -26,7 +26,7 @@ install()
     action.sa_handler = handleShutdownSignal;
     sigemptyset(&action.sa_mask);
     // No SA_RESTART: a signal must interrupt the drive loop's sleeps
-    // and the daemon's poll(2) promptly, not after the next timeout.
+    // promptly, not after the next timeout.
     action.sa_flags = 0;
     sigaction(SIGINT, &action, nullptr);
     sigaction(SIGTERM, &action, nullptr);
@@ -37,12 +37,6 @@ int
 pending()
 {
     return static_cast<int>(gSignal);
-}
-
-void
-clear()
-{
-    gSignal = 0;
 }
 
 } // namespace lsqca::shutdown

@@ -4,10 +4,10 @@
 /**
  * @file
  * Cooperative SIGINT/SIGTERM handling for the long-running entry
- * points (`lsqca submit|resume|serve`). The handler only raises an
- * async-signal-safe flag; the orchestrator/daemon drive loops poll it
- * between dispatches and run the *orderly* path themselves — reap the
- * children, save every queue, append a journal `shutdown` event —
+ * points (`lsqca submit|resume`). The handler only raises an
+ * async-signal-safe flag; the orchestrator's drive loop polls it
+ * between dispatches and runs the *orderly* path itself — reap the
+ * children, save the queue, append a journal `shutdown` event —
  * instead of dying mid-write and leaning on torn-tail repair.
  */
 
@@ -15,17 +15,14 @@ namespace lsqca::shutdown {
 
 /**
  * Install SIGINT+SIGTERM handlers that record the signal in a
- * `volatile sig_atomic_t` flag (and ignore SIGPIPE, so a vanished
- * socket peer surfaces as EPIPE instead of killing the process).
- * Idempotent; no-op on repeat calls.
+ * `volatile sig_atomic_t` flag (and ignore SIGPIPE, so a closed
+ * output pipe surfaces as EPIPE and the process still exits with its
+ * campaign's code). Idempotent; no-op on repeat calls.
  */
 void install();
 
 /** The pending shutdown signal (SIGINT/SIGTERM), or 0 when none. */
 int pending();
-
-/** Reset the flag (tests; a daemon restarting its accept loop). */
-void clear();
 
 } // namespace lsqca::shutdown
 

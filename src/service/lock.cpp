@@ -69,7 +69,7 @@ StateLock::acquire(const std::string &dir)
         ::close(fd);
         if (busy)
             throw ConfigError(
-                dir + " is locked by a live orchestrator or daemon" +
+                dir + " is locked by a live orchestrator" +
                 (owner.empty() ? std::string()
                                : " (pid " + owner + ")") +
                 "; stop it first, or pick another state dir");

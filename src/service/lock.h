@@ -4,12 +4,12 @@
 /**
  * @file
  * Campaign state-dir ownership: an advisory `flock(2)` on
- * `<state>/lock` held for as long as an orchestrator (or the daemon,
- * per tenant) is driving the directory. A second driver opening the
- * same campaign fails fast with the owner's pid instead of racing on
- * `queue.json`; because flock locks die with their process, a lock
- * left behind by a killed orchestrator is reclaimed automatically —
- * the pid in the file is informative, never authoritative.
+ * `<state>/lock` held for as long as an orchestrator is driving the
+ * directory. A second driver opening the same campaign fails fast
+ * with the owner's pid instead of racing on `queue.json`; because
+ * flock locks die with their process, a lock left behind by a killed
+ * orchestrator is reclaimed automatically — the pid in the file is
+ * informative, never authoritative.
  */
 
 #include <string>

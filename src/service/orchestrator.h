@@ -15,15 +15,16 @@
  * direct unsharded `lsqca run` under --no-timing.
  *
  * The engine itself — dispatch, retry funnel, straggler policy,
- * layered cache, CI escalation, merge — lives in service/scheduler.h
- * and is shared with the multi-tenant daemon (`lsqca serve`,
- * src/daemon/). The Orchestrator contributes what is specific to the
- * one-shot shape: admission from the CLI's flags, the drive loop's
- * pacing (fill the worker pool, poll, sleep), the state-dir lockfile
- * that keeps a second driver out (service/lock.h), and cooperative
- * SIGINT/SIGTERM shutdown (common/shutdown.h) that reaps children,
- * saves the queue, and journals a `shutdown` event so `lsqca resume`
- * continues exactly where the signal struck.
+ * layered cache, CI escalation, merge — lives in service/scheduler.h.
+ * The Orchestrator contributes admission from the CLI's flags, the
+ * drive loop's pacing (fill the worker pool, poll, sleep), the
+ * state-dir lockfile that keeps a second driver out (service/lock.h),
+ * and cooperative SIGINT/SIGTERM shutdown (common/shutdown.h) that
+ * reaps children, saves the queue, and journals a `shutdown` event so
+ * `lsqca resume` continues exactly where the signal struck.
+ *
+ * Several campaigns at once are several processes: each drives its
+ * own state dir, and they may share one `--cache` (service/cache.h).
  *
  * State-dir layout:
  *

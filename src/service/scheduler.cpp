@@ -834,17 +834,4 @@ Scheduler::finish(bool interrupted)
     return report_;
 }
 
-std::size_t
-Scheduler::pendingCount() const
-{
-    return state_.countWithStatus(TaskStatus::Pending);
-}
-
-bool
-Scheduler::drained() const
-{
-    return running_.empty() &&
-           state_.countWithStatus(TaskStatus::Pending) == 0;
-}
-
 } // namespace lsqca::service

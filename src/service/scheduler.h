@@ -3,16 +3,14 @@
 
 /**
  * @file
- * The reusable campaign engine underneath both drivers of a sweep:
- * the one-shot `Orchestrator` (one campaign, drive until drained) and
- * the multi-tenant daemon (`lsqca serve`, many campaigns sharing one
- * worker pool). A `Scheduler` owns exactly one campaign — its queue,
- * journal, metrics, result cache, and live worker processes — and
- * exposes the orchestrator's former inner loop as separate steps so a
- * caller can interleave several campaigns' steps on its own cadence:
+ * The campaign engine underneath `Orchestrator`. A `Scheduler` owns
+ * exactly one campaign — its queue, journal, metrics, result cache,
+ * and live worker processes — and exposes the drive as separate steps
+ * that `Orchestrator::drive` paces (worker cap, poll interval,
+ * shutdown and stop hooks):
  *
  *     cachePass();                 // satisfy shards from the cache
- *     while (!drained()) {
+ *     while (work remains) {
  *         dispatchOne();           // spawn one pending shard
  *         pollWorkers();           // reap exits, kill stragglers
  *     }
@@ -21,11 +19,8 @@
  *     finish(false);               // merge + `done` event + metrics
  *
  * Policy (retry funnel, straggler deadlines, layered shard/job cache,
- * CI escalation, byte-identical merge) is unchanged from the
- * pre-extraction Orchestrator and stays pinned by tests/service: the
- * one-shot path must journal, count, and merge byte-for-byte exactly
- * as before. docs/SERVICE.md describes the policy; docs/DAEMON.md
- * describes the multi-tenant caller.
+ * CI escalation, byte-identical merge) is pinned by tests/service and
+ * described in docs/SERVICE.md.
  */
 
 #include <cstdint>
@@ -43,7 +38,7 @@
 
 namespace lsqca::service {
 
-/** What one submit()/resume() call (or daemon tenancy) did. */
+/** What one submit()/resume() call did. */
 struct CampaignReport
 {
     /** Every shard done and the merged artifact written. */
@@ -134,7 +129,7 @@ struct SchedulerOptions
     /** `--threads` per worker (processes are the parallelism unit). */
     std::int32_t threadsPerWorker = 1;
     /** Worker-pool size — journal leg metadata and gauge only; the
-     *  caller enforces the actual cap across its schedulers. */
+     *  caller enforces the actual cap. */
     std::int32_t workers = 2;
     /** Per-attempt hard wall limit, passed as --timeout-seconds. */
     double timeoutSeconds = 0.0;
@@ -209,9 +204,9 @@ class Scheduler
     void killWorkers();
 
     /**
-     * Append the journal `shutdown` event (signal number, live-task
-     * count) after killWorkers() — the orderly-interruption marker
-     * `lsqca status` and the daemon protocol surface.
+     * Append the journal `shutdown` event (signal number) after
+     * killWorkers() — the marker of an orderly interruption, as
+     * opposed to a dead driver's missing `done`.
      */
     void recordShutdown(int signal);
 
@@ -223,15 +218,8 @@ class Scheduler
      */
     CampaignReport finish(bool interrupted);
 
-    /** Pending tasks (dispatchOne would find work). */
-    std::size_t pendingCount() const;
     std::size_t runningCount() const { return running_.size(); }
-    /** No pending and no running tasks (failed ones may remain). */
-    bool drained() const;
-
-    const QueueState &state() const { return state_; }
     const CampaignReport &progress() const { return report_; }
-    const SchedulerOptions &options() const { return options_; }
 
   private:
     struct RunningWorker

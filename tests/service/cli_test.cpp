@@ -2,19 +2,26 @@
  * @file
  * Black-box coverage of the CLI surface the orchestrator rides on:
  * worker flags (--timeout-seconds, --seed-check, --die-after), the
- * directory form of `merge` with duplicate-entry rejection, and the
- * submit/status/resume round trip — each against the real binary, the
- * way CI and other machines invoke it.
+ * directory form of `merge` with duplicate-entry rejection, the
+ * submit/status/resume round trip, and SIGTERM shutdown of a live
+ * submit — each against the real binary, the way CI and other
+ * machines invoke it.
  */
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fs.h"
 #include "common/json.h"
+#include "common/jsonl.h"
 #include "common/subprocess.h"
+#include "service/queue.h"
 #include "service_test_util.h"
 
 namespace lsqca::service {
@@ -184,6 +191,81 @@ TEST(Cli, SubmitStatusResumeRoundTrip)
               std::string::npos)
         << resumed.output;
     EXPECT_EQ(fsutil::readFile(dir + "/state/BENCH_smoke.json"),
+              fsutil::readFile(dir + "/direct/BENCH_smoke.json"));
+}
+
+TEST(Cli, SigtermMidCampaignShutsDownAndResumes)
+{
+    const std::string dir = test::scratchDir("sigterm");
+    ASSERT_EQ(runCli({"run", test::kSmokeSpec, "--no-timing", "--out",
+                      dir + "/direct"},
+                     dir + "/runlog")
+                  .exitCode,
+              0);
+
+    // Every worker holds 0.3 s before simulating, so the campaign is
+    // verifiably mid-flight once the journal shows a spawn.
+    const std::string state = dir + "/state";
+    proc::Command command;
+    command.argv = {test::kCliBin, "submit", test::kSmokeSpec,
+                    "--workers", "1", "--shards", "4", "--no-timing",
+                    "--state", state, "--test-worker-sleep", "0.3"};
+    command.logPath = dir + "/submitlog";
+    const proc::Pid pid = proc::spawn(command);
+    const std::string journal = state + "/events.jsonl";
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    const auto hasSpawned = [&] {
+        if (!fsutil::exists(journal))
+            return false;
+        // readLines drops a torn tail the submit is still appending.
+        for (const Json &line : jsonl::readLines(journal).lines)
+            if (line.at("event").asString() == "spawn")
+                return true;
+        return false;
+    };
+    while (!hasSpawned()) {
+        if (std::chrono::steady_clock::now() > deadline) {
+            proc::terminate(pid);
+            proc::wait(pid);
+            FAIL() << "no spawn journaled: "
+                   << fsutil::readFile(command.logPath);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_EQ(::kill(pid, SIGTERM), 0);
+    const proc::Status status = proc::wait(pid);
+
+    // Orderly shutdown: 128 + SIGTERM, and a resume hint.
+    EXPECT_TRUE(status.exited);
+    EXPECT_EQ(status.exitCode, 128 + SIGTERM);
+    const std::string output = fsutil::readFile(command.logPath);
+    EXPECT_NE(output.find("interrupted by signal 15"), std::string::npos)
+        << output;
+    EXPECT_NE(output.find("lsqca resume"), std::string::npos) << output;
+
+    // The journal closes the leg with `shutdown` (signal 15) and then
+    // an interrupted, incomplete `done`.
+    const std::vector<Json> lines = jsonl::readLines(journal).lines;
+    ASSERT_GE(lines.size(), 2u);
+    const Json &shutdownEvent = lines[lines.size() - 2];
+    EXPECT_EQ(shutdownEvent.at("event").asString(), "shutdown");
+    EXPECT_EQ(shutdownEvent.at("signal").asInt(), SIGTERM);
+    const Json &done = lines.back();
+    EXPECT_EQ(done.at("event").asString(), "done");
+    EXPECT_TRUE(done.at("interrupted").asBool());
+    EXPECT_FALSE(done.at("complete").asBool());
+
+    // The killed attempt stays `running` in the saved queue; resume
+    // re-pends it.
+    const QueueState queue = QueueState::load(state + "/queue.json");
+    EXPECT_EQ(queue.countWithStatus(TaskStatus::Running), 1u);
+    EXPECT_LT(queue.countWithStatus(TaskStatus::Done), 4u);
+
+    const CliResult resumed =
+        runCli({"resume", state, "--workers", "2"}, dir + "/resumelog");
+    EXPECT_EQ(resumed.exitCode, 0) << resumed.output;
+    EXPECT_EQ(fsutil::readFile(state + "/BENCH_smoke.json"),
               fsutil::readFile(dir + "/direct/BENCH_smoke.json"));
 }
 

@@ -32,15 +32,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <filesystem>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <cstdio>
-#include <fstream>
 
 #include "api/paper_specs.h"
 #include "api/registry.h"
@@ -53,9 +48,6 @@
 #include "common/shutdown.h"
 #include "common/subprocess.h"
 #include "common/table.h"
-#include "daemon/client.h"
-#include "daemon/daemon.h"
-#include "daemon/protocol.h"
 #include "service/cache.h"
 #include "service/journal.h"
 #include "service/orchestrator.h"
@@ -138,21 +130,11 @@ usage(std::ostream &out, int code)
         " reruns\n"
         "                        journal byte-identically)\n"
         "      --no-journal      do not write events.jsonl\n"
-        "      --daemon SOCK     submit to a running `lsqca serve`\n"
-        "                        daemon instead (supports --shards,\n"
-        "                        --no-timing, --max-attempts, --weight,\n"
-        "                        --wait; pool knobs live on serve)\n"
-        "      --weight W        daemon fair-share weight (default 1)\n"
-        "      --wait            daemon only: stream the journal and\n"
-        "                        block until the campaign finishes\n"
-        "      (one-shot submit/resume catch SIGINT/SIGTERM: workers\n"
-        "       are reaped, the queue saved, and the exit code is\n"
+        "      (submit/resume catch SIGINT/SIGTERM: workers are\n"
+        "       reaped, the queue saved, and the exit code is\n"
         "       128+signal; `lsqca resume` continues the campaign)\n"
         "  status <state-dir>  show a campaign's queue (with per-shard\n"
         "                      age from the journal when present)\n"
-        "      --daemon SOCK     ask a daemon instead: with a campaign\n"
-        "                        name shows its queue, with no argument\n"
-        "                        lists every campaign under the root\n"
         "  resume <state-dir>  continue an interrupted campaign\n"
         "      (accepts the submit runtime flags: --workers, --threads,"
         " --cache,\n"
@@ -166,35 +148,7 @@ usage(std::ostream &out, int code)
         " (docs/METRICS.md)\n"
         "      --chrome-trace FILE  also export a chrome://tracing /\n"
         "                      Perfetto trace (one track per worker,\n"
-        "                      one span per shard attempt)\n"
-        "  serve <root>        run the multi-tenant sweep daemon on\n"
-        "                      <root>/daemon.sock (docs/DAEMON.md):\n"
-        "                      admits concurrent campaigns over a\n"
-        "                      line-JSON control protocol and schedules\n"
-        "                      their shards fairly over ONE worker pool\n"
-        "      --workers K       global worker-process pool (default"
-        " 2)\n"
-        "      --socket PATH     control socket (default <root>/"
-        "daemon.sock)\n"
-        "      --cache DIR       shared result cache (default <root>/"
-        "cache)\n"
-        "      --threads N       sweep threads per worker (default 1)\n"
-        "      --timeout-seconds S  per-attempt hard limit\n"
-        "      --straggler-factor F deadline = F x median shard wall\n"
-        "      --max-attempts M  default spawn budget per shard\n"
-        "      --poll-seconds S  scheduler poll cadence (default"
-        " 0.02)\n"
-        "      --clock MODE      journal time base: monotonic|logical\n"
-        "  watch <campaign>    stream a campaign's journal\n"
-        "                      (lsqca-events-v1 lines) from a daemon\n"
-        "                      until the campaign finishes\n"
-        "      --daemon SOCK     daemon control socket (required)\n"
-        "  cancel <campaign>   stop an active daemon campaign; workers\n"
-        "                      are killed, the queue stays resumable\n"
-        "      --daemon SOCK     daemon control socket (required)\n"
-        "  drain               let active campaigns finish, admit\n"
-        "                      nothing new, then the daemon exits\n"
-        "      --daemon SOCK     daemon control socket (required)\n";
+        "                      one span per shard attempt)\n";
     return code;
 }
 
@@ -409,8 +363,8 @@ cmdRun(int argc, char **argv)
                                           "--die-after", 0, 1 << 30);
         else if (arg == "--test-sleep-seconds")
             // Test-only latency hook: hold the worker before it
-            // simulates, so signal/drain paths can catch a campaign
-            // verifiably mid-flight (docs/DAEMON.md).
+            // simulates, so the shutdown path can catch a campaign
+            // verifiably mid-flight (docs/SERVICE.md).
             sleepSeconds =
                 parseTimeoutSeconds(needValue(argc, argv, i));
         else if (arg == "--full")
@@ -715,143 +669,9 @@ reportCampaign(const service::CampaignReport &report,
     return 1;
 }
 
-/** Unwrap a daemon response, surfacing `"ok": false` as an error. */
-const Json &
-requireOk(const Json &response)
-{
-    const Json *ok = response.find("ok");
-    if (ok != nullptr && ok->asBool())
-        return response;
-    const Json *error = response.find("error");
-    throw ConfigError("daemon refused: " +
-                      (error != nullptr && error->isString()
-                           ? error->asString()
-                           : response.dump(0)));
-}
-
-Json
-daemonRequest(const std::string &op)
-{
-    Json request = Json::object();
-    request.set("op", op);
-    request.set("proto", daemon::kProtocol);
-    return request;
-}
-
-/** `lsqca submit --daemon SOCK`: hand the spec to a running daemon. */
-int
-cmdSubmitDaemon(int argc, char **argv)
-{
-    std::string specArg;
-    std::string socketPath;
-    std::int32_t shards = 0;
-    std::int32_t weight = 1;
-    std::int32_t maxAttempts = 0;
-    double workerSleep = 0.0;
-    bool noTiming = false;
-    bool wait = false;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--daemon")
-            socketPath = needValue(argc, argv, i);
-        else if (arg == "--shards")
-            shards = parseCount(needValue(argc, argv, i), "--shards",
-                                1, 1 << 20);
-        else if (arg == "--no-timing")
-            noTiming = true;
-        else if (arg == "--weight")
-            weight = parseCount(needValue(argc, argv, i), "--weight",
-                                1, 64);
-        else if (arg == "--max-attempts")
-            maxAttempts = parseCount(needValue(argc, argv, i),
-                                     "--max-attempts", 1, 1000);
-        else if (arg == "--wait")
-            wait = true;
-        else if (arg == "--test-worker-sleep")
-            // Test hook: every worker sleeps before simulating, so
-            // signals and drains catch the campaign mid-flight.
-            workerSleep =
-                parseTimeoutSeconds(needValue(argc, argv, i));
-        else if (!arg.empty() && arg[0] == '-')
-            badArg("submit --daemon supports --shards, --no-timing, "
-                   "--weight, --max-attempts, and --wait; pool knobs "
-                   "live on `lsqca serve` (got " +
-                   arg + ")");
-        else if (specArg.empty())
-            specArg = arg;
-        else
-            badArg("submit takes exactly one spec");
-    }
-    if (specArg.empty())
-        badArg("submit needs a spec file");
-    LSQCA_REQUIRE(fsutil::exists(specArg),
-                  "no such spec file: " + specArg);
-
-    Json request = daemonRequest("submit");
-    // The daemon resolves the spec in ITS working directory, so ship
-    // an absolute path.
-    request.set("spec", std::filesystem::absolute(specArg)
-                            .lexically_normal()
-                            .string());
-    if (shards > 0)
-        request.set("shards", shards);
-    if (noTiming)
-        request.set("no_timing", true);
-    if (weight != 1)
-        request.set("weight", weight);
-    if (maxAttempts > 0)
-        request.set("max_attempts", maxAttempts);
-    if (workerSleep > 0.0) {
-        Json extra = Json::array();
-        extra.push(Json("--test-sleep-seconds"));
-        extra.push(Json(std::to_string(workerSleep)));
-        request.set("extra_worker_args", std::move(extra));
-    }
-
-    daemon::Client client(socketPath);
-    const Json response = requireOk(client.call(request));
-    const std::string name = response.find("campaign")->asString();
-    std::cerr << "campaign " << name << " admitted ("
-              << response.find("leg")->asString() << ", "
-              << response.find("shards")->asInt() << " shards) -> "
-              << response.find("state")->asString() << "\n";
-    if (!wait)
-        return 0;
-
-    // --wait rides the watch stream: the journal replays from its
-    // first line and the connection closes once the campaign leaves
-    // the daemon, so the LAST `done` event (a resumed campaign's
-    // journal holds one per leg) carries the verdict.
-    Json watchRequest = daemonRequest("watch");
-    watchRequest.set("campaign", name);
-    requireOk(client.call(watchRequest));
-    bool complete = false;
-    std::string line;
-    while (client.readLine(line)) {
-        try {
-            const Json event = Json::parse(line);
-            const Json *kind = event.find("event");
-            if (kind != nullptr && kind->isString() &&
-                kind->asString() == "done") {
-                const Json *field = event.find("complete");
-                complete = field != nullptr && field->asBool();
-            }
-        } catch (const std::exception &) {
-            // A torn tail can only be the stream's very end.
-        }
-    }
-    std::cerr << "campaign " << name
-              << (complete ? " completed" : " ended incomplete")
-              << "\n";
-    return complete ? 0 : 1;
-}
-
 int
 cmdSubmit(int argc, char **argv, const char *argv0)
 {
-    for (int i = 2; i < argc; ++i)
-        if (std::strcmp(argv[i], "--daemon") == 0)
-            return cmdSubmitDaemon(argc, argv);
     std::string specArg;
     service::OrchestratorOptions options;
     for (int i = 2; i < argc; ++i) {
@@ -923,88 +743,19 @@ cmdResume(int argc, char **argv, const char *argv0)
     return reportCampaign(orchestrator.resume(), stateDir);
 }
 
-/** `lsqca status --daemon SOCK [campaign]`: ask a running daemon. */
-int
-cmdStatusDaemon(const std::string &socketPath,
-                const std::string &campaign)
-{
-    daemon::Client client(socketPath);
-    Json request = daemonRequest("status");
-    if (!campaign.empty())
-        request.set("campaign", campaign);
-    const Json response = requireOk(client.call(request));
-
-    if (campaign.empty()) {
-        TextTable table({"campaign", "active", "done", "running",
-                         "pending", "failed", "shards"});
-        if (const Json *rows = response.find("campaigns"))
-            for (const Json &row : rows->items())
-                table.addRow(
-                    {row.find("campaign")->asString(),
-                     row.find("active")->asBool() ? "yes" : "no",
-                     std::to_string(row.find("done")->asInt()),
-                     std::to_string(row.find("running")->asInt()),
-                     std::to_string(row.find("pending")->asInt()),
-                     std::to_string(row.find("failed")->asInt()),
-                     std::to_string(row.find("shards")->asInt())});
-        std::cout << table.render("daemon campaigns (" + socketPath +
-                                  ")");
-        const Json *draining = response.find("draining");
-        if (draining != nullptr && draining->asBool())
-            std::cout << "daemon is draining (new submissions are "
-                         "refused)\n";
-        return 0;
-    }
-
-    const service::QueueState queue =
-        service::QueueState::fromJson(*response.find("queue"));
-    TextTable table(
-        {"shard", "status", "attempts", "cached", "wall_s", "detail"});
-    for (const service::ShardTask &task : queue.tasks)
-        table.addRow({std::to_string(task.index) + "/" +
-                          std::to_string(queue.shardCount),
-                      service::taskStatusName(task.status),
-                      std::to_string(task.attempts),
-                      task.cached ? "yes" : "no",
-                      TextTable::num(task.wallSeconds, 3),
-                      task.lastError.empty() ? task.output
-                                             : task.lastError});
-    std::cout << table.render("campaign " + queue.campaign + " via " +
-                              socketPath);
-    const Json *active = response.find("active");
-    std::cout << "pending "
-              << queue.countWithStatus(service::TaskStatus::Pending)
-              << ", running "
-              << queue.countWithStatus(service::TaskStatus::Running)
-              << ", done "
-              << queue.countWithStatus(service::TaskStatus::Done)
-              << ", failed "
-              << queue.countWithStatus(service::TaskStatus::Failed)
-              << " of " << queue.shardCount << " shards ("
-              << (active != nullptr && active->asBool() ? "active"
-                                                        : "inactive")
-              << ")\n";
-    return 0;
-}
-
 int
 cmdStatus(int argc, char **argv)
 {
     std::string stateDir;
-    std::string socketPath;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--daemon")
-            socketPath = needValue(argc, argv, i);
-        else if (!arg.empty() && arg[0] == '-')
+        if (!arg.empty() && arg[0] == '-')
             badArg("unknown status option " + arg);
         else if (stateDir.empty())
             stateDir = arg;
         else
             badArg("status takes exactly one state dir");
     }
-    if (!socketPath.empty())
-        return cmdStatusDaemon(socketPath, stateDir);
     if (stateDir.empty())
         badArg("status needs a campaign state dir");
 
@@ -1139,141 +890,6 @@ cmdReport(int argc, char **argv)
     return 0;
 }
 
-int
-cmdServe(int argc, char **argv, const char *argv0)
-{
-    daemon::DaemonOptions options;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--workers")
-            options.workers = parseCount(needValue(argc, argv, i),
-                                         "--workers", 1, 1024);
-        else if (arg == "--socket")
-            options.socketPath = needValue(argc, argv, i);
-        else if (arg == "--cache")
-            options.cacheDir = needValue(argc, argv, i);
-        else if (arg == "--threads")
-            options.threadsPerWorker =
-                parseThreadCount(needValue(argc, argv, i));
-        else if (arg == "--timeout-seconds")
-            options.timeoutSeconds =
-                parseTimeoutSeconds(needValue(argc, argv, i));
-        else if (arg == "--straggler-factor")
-            options.stragglerFactor =
-                parseStragglerFactor(needValue(argc, argv, i));
-        else if (arg == "--max-attempts")
-            options.maxAttempts = parseCount(needValue(argc, argv, i),
-                                             "--max-attempts", 1,
-                                             1000);
-        else if (arg == "--poll-seconds")
-            options.pollSeconds =
-                parseTimeoutSeconds(needValue(argc, argv, i));
-        else if (arg == "--clock")
-            options.clock = service::journalClockFromName(
-                needValue(argc, argv, i));
-        else if (!arg.empty() && arg[0] == '-')
-            badArg("unknown serve option " + arg);
-        else if (options.root.empty())
-            options.root = arg;
-        else
-            badArg("serve takes exactly one root dir");
-    }
-    if (options.root.empty())
-        badArg("serve needs a daemon root dir");
-    options.workerExe = proc::selfExecutable(argv0);
-    daemon::Daemon server(std::move(options));
-    std::cerr << "lsqca serve: listening on " << server.socketPath()
-              << " (stop with SIGTERM, or `lsqca drain --daemon "
-              << server.socketPath() << "`)\n";
-    return server.run();
-}
-
-int
-cmdWatch(int argc, char **argv)
-{
-    std::string campaign;
-    std::string socketPath;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--daemon")
-            socketPath = needValue(argc, argv, i);
-        else if (!arg.empty() && arg[0] == '-')
-            badArg("unknown watch option " + arg);
-        else if (campaign.empty())
-            campaign = arg;
-        else
-            badArg("watch takes exactly one campaign name");
-    }
-    if (campaign.empty())
-        badArg("watch needs a campaign name");
-    if (socketPath.empty())
-        badArg("watch needs --daemon <socket>");
-
-    daemon::Client client(socketPath);
-    Json request = daemonRequest("watch");
-    request.set("campaign", campaign);
-    requireOk(client.call(request));
-    // lsqca-events-v1 lines, verbatim; the daemon closes the stream
-    // once the campaign is inactive and fully forwarded.
-    std::string line;
-    while (client.readLine(line))
-        std::cout << line << "\n";
-    return 0;
-}
-
-int
-cmdCancel(int argc, char **argv)
-{
-    std::string campaign;
-    std::string socketPath;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--daemon")
-            socketPath = needValue(argc, argv, i);
-        else if (!arg.empty() && arg[0] == '-')
-            badArg("unknown cancel option " + arg);
-        else if (campaign.empty())
-            campaign = arg;
-        else
-            badArg("cancel takes exactly one campaign name");
-    }
-    if (campaign.empty())
-        badArg("cancel needs a campaign name");
-    if (socketPath.empty())
-        badArg("cancel needs --daemon <socket>");
-
-    daemon::Client client(socketPath);
-    Json request = daemonRequest("cancel");
-    request.set("campaign", campaign);
-    requireOk(client.call(request));
-    std::cerr << "campaign " << campaign
-              << " cancelled (queue left resumable)\n";
-    return 0;
-}
-
-int
-cmdDrain(int argc, char **argv)
-{
-    std::string socketPath;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--daemon")
-            socketPath = needValue(argc, argv, i);
-        else
-            badArg("unknown drain option " + arg);
-    }
-    if (socketPath.empty())
-        badArg("drain needs --daemon <socket>");
-
-    daemon::Client client(socketPath);
-    const Json response = requireOk(client.call(daemonRequest("drain")));
-    std::cerr << "daemon draining: "
-              << response.find("active")->asInt()
-              << " active campaign(s) will finish, then the daemon "
-                 "exits\n";
-    return 0;
-}
-
 } // namespace
 
 int
@@ -1305,14 +921,6 @@ main(int argc, char **argv)
             return cmdReport(argc, argv);
         if (command == "resume")
             return cmdResume(argc, argv, argv[0]);
-        if (command == "serve")
-            return cmdServe(argc, argv, argv[0]);
-        if (command == "watch")
-            return cmdWatch(argc, argv);
-        if (command == "cancel")
-            return cmdCancel(argc, argv);
-        if (command == "drain")
-            return cmdDrain(argc, argv);
         std::cerr << "lsqca: unknown command \"" << command << "\"\n";
         return usage(std::cerr, 2);
     } catch (const std::exception &e) {
