@@ -12,8 +12,8 @@
  * All variant points come from the declarative api::specs::ablation()
  * sweep spec — including the LD/ST translation swap, expressed as a
  * translate patch on the variant axis — and fan out over the sweep
- * engine (`--threads N`, `--shard i/N`); this file only renders the
- * tables. BENCH_ablation.json records per-job metrics.
+ * engine (`--threads N`); this file only renders the tables.
+ * BENCH_ablation.json records per-job metrics.
  */
 
 #include "api/paper_specs.h"
@@ -26,8 +26,6 @@ main(int argc, char **argv)
     const auto args = bench::parseArgs(argc, argv);
     const api::SweepSpec spec = api::specs::ablation(args.full);
     const bench::BenchRun bench_run = bench::runSpec(spec, args);
-    if (!args.shard.isWhole())
-        return 0; // a slice can't render the cross-variant tables
 
     const auto &works = spec.axes[0].values;
     // Variant axis: "conventional", then (variant x point/line) pairs

@@ -27,11 +27,10 @@
 namespace lsqca::bench {
 
 /**
- * Parse "--csv <dir>", "--full", "--threads N", "--out <dir>",
- * "--smoke", "--shard i/N", "--timeout-seconds S", and
- * "--seed-check <fingerprint>" from argv. Unknown arguments, missing
- * values, and malformed numbers are fatal (exit 2) — a typo must not
- * silently run a different experiment.
+ * Parse "--csv <dir>", "--full", "--threads N", "--out <dir>", and
+ * "--smoke" from argv. Unknown arguments, missing values, and
+ * malformed numbers are fatal (exit 2) — a typo must not silently run
+ * a different experiment.
  */
 struct BenchArgs
 {
@@ -43,12 +42,6 @@ struct BenchArgs
     std::string outDir = "bench/out";
     /** Reduced-size run for CI (micro_kernels). */
     bool smoke = false;
-    /** Contiguous sweep slice; tables are skipped when sharded. */
-    api::ShardRange shard;
-    /** Abort (exit 124) past this wall budget (0 = no limit). */
-    double timeoutSeconds = 0.0;
-    /** Expected shard fingerprint ("" = unchecked); see docs/SERVICE.md. */
-    std::string seedCheck;
 };
 
 [[noreturn]] inline void
@@ -56,8 +49,7 @@ argError(const std::string &message)
 {
     std::cerr << "error: " << message
               << "\n(supported: --csv <dir>, --full, --threads N,"
-                 " --out <dir>, --smoke, --shard i/N,"
-                 " --timeout-seconds S, --seed-check <fingerprint>)\n";
+                 " --out <dir>, --smoke)\n";
     std::exit(2);
 }
 
@@ -85,25 +77,6 @@ parseArgs(int argc, char **argv)
             args.outDir = value(i);
         } else if (std::strcmp(argv[i], "--smoke") == 0) {
             args.smoke = true;
-        } else if (std::strcmp(argv[i], "--shard") == 0) {
-            try {
-                args.shard = api::ShardRange::parse(value(i));
-            } catch (const ConfigError &e) {
-                argError(e.what());
-            }
-        } else if (std::strcmp(argv[i], "--timeout-seconds") == 0) {
-            try {
-                args.timeoutSeconds =
-                    api::parseTimeoutSeconds(value(i));
-            } catch (const ConfigError &e) {
-                argError(e.what());
-            }
-        } else if (std::strcmp(argv[i], "--seed-check") == 0) {
-            try {
-                args.seedCheck = api::parseFingerprintArg(value(i));
-            } catch (const ConfigError &e) {
-                argError(e.what());
-            }
         } else {
             argError(std::string("unknown argument: ") + argv[i]);
         }
@@ -129,9 +102,6 @@ runSpec(const api::SweepSpec &spec, const BenchArgs &args)
     api::RunSpecOptions options;
     options.threads = args.threads;
     options.outDir = args.outDir;
-    options.shard = args.shard;
-    options.timeoutSeconds = args.timeoutSeconds;
-    options.seedCheck = args.seedCheck;
     bench_run.run = api::runSpec(spec, bench_run.registry, options);
     return bench_run;
 }

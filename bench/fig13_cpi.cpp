@@ -13,8 +13,8 @@
  * The sweep itself is declarative: api::specs::fig13() (the same spec
  * `lsqca run specs/fig13.json` executes) expands into every
  * (benchmark x machine x factory) point and fans out over the sweep
- * engine (`--threads N`, `--shard i/N`); this file only renders the
- * tables. BENCH_fig13.json records per-job metrics.
+ * engine (`--threads N`); this file only renders the tables.
+ * BENCH_fig13.json records per-job metrics.
  */
 
 #include "api/paper_specs.h"
@@ -27,8 +27,6 @@ main(int argc, char **argv)
     const auto args = bench::parseArgs(argc, argv);
     const api::SweepSpec spec = api::specs::fig13(args.full);
     const bench::BenchRun bench_run = bench::runSpec(spec, args);
-    if (!args.shard.isWhole())
-        return 0; // a slice can't render the cross-machine tables
 
     const auto &loads = spec.axes[1].values;
     const std::size_t machines_per_load = spec.axes[2].values.size();

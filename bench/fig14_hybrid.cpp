@@ -10,8 +10,8 @@
  * Default runs use steady-state prefixes for the long benchmarks; pass
  * --full for complete executions (slower). The ~1.8k simulation points
  * come from the declarative api::specs::fig14() sweep spec and fan out
- * over the sweep engine (`--threads N`, `--shard i/N`); this file only
- * renders the tables. BENCH_fig14.json records per-job metrics.
+ * over the sweep engine (`--threads N`); this file only renders the
+ * tables. BENCH_fig14.json records per-job metrics.
  */
 
 #include <map>
@@ -40,8 +40,6 @@ main(int argc, char **argv)
     const auto args = bench::parseArgs(argc, argv);
     const api::SweepSpec spec = api::specs::fig14(args.full);
     const bench::BenchRun bench_run = bench::runSpec(spec, args);
-    if (!args.shard.isWhole())
-        return 0; // a slice can't render the cross-machine tables
 
     const auto &loads = spec.axes[1].values;
     bench::ResultCursor cursor(bench_run.run);

@@ -10,9 +10,8 @@
  * prefix (the loop is periodic); pass --full for complete circuits.
  * The declarative api::specs::fig15() sweep spec synthesizes each
  * width's circuit once (registry memoization) and fans every machine
- * point over the sweep engine (`--threads N`, `--shard i/N`); this
- * file only renders the tables. BENCH_fig15.json records per-job
- * metrics.
+ * point over the sweep engine (`--threads N`); this file only renders
+ * the tables. BENCH_fig15.json records per-job metrics.
  */
 
 #include "api/paper_specs.h"
@@ -26,8 +25,6 @@ main(int argc, char **argv)
     const auto args = bench::parseArgs(argc, argv);
     const api::SweepSpec spec = api::specs::fig15(args.full);
     const bench::BenchRun bench_run = bench::runSpec(spec, args);
-    if (!args.shard.isWhole())
-        return 0; // a slice can't render the cross-machine tables
 
     const std::int32_t widths[] = {21, 41, 61, 81, 101};
     // The machine axis: conventional first, then the eight configs.

@@ -717,33 +717,29 @@ runSpec(const SweepSpec &spec, BenchmarkRegistry &registry,
         documented.wallSeconds = 0.0;
         documented.jobSeconds.assign(run.jobs.size(), 0.0);
     }
-    if (options.jobCache == nullptr) {
-        run.document = benchReport(spec.name, run.jobs, documented,
-                                   spec.recordBreakdown);
-    } else {
-        // Splice cached and computed entries back into slice order.
-        // The Json layer's round-trip guarantee keeps this document
-        // byte-identical to a fresh full simulation of the slice.
-        bool v2 = spec.recordBreakdown;
-        Json entries = Json::array();
-        std::size_t k = 0;
-        for (std::size_t i = 0; i < sliceSize; ++i) {
-            if (!cachedEntries[i].isNull()) {
-                v2 = v2 || cachedEntries[i].contains("breakdown");
-                entries.push(std::move(cachedEntries[i]));
-                continue;
-            }
-            v2 = v2 || !documented.results[k].breakdown.empty();
-            Json entry = benchEntry(run.jobs[k].name, documented.results[k],
-                                    documented.jobSeconds[k]);
-            storeEntry(i, entry);
-            entries.push(std::move(entry));
-            ++k;
+    // Splice cached and computed entries back into slice order (with
+    // no job cache, every entry is computed). The Json layer's
+    // round-trip guarantee keeps this document byte-identical to
+    // benchReport() over a fresh full simulation of the slice.
+    bool v2 = spec.recordBreakdown;
+    Json entries = Json::array();
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < sliceSize; ++i) {
+        if (!cachedEntries[i].isNull()) {
+            v2 = v2 || cachedEntries[i].contains("breakdown");
+            entries.push(std::move(cachedEntries[i]));
+            continue;
         }
-        run.document =
-            benchDocument(spec.name, std::move(entries), documented.threads,
-                          documented.wallSeconds, v2);
+        v2 = v2 || !documented.results[k].breakdown.empty();
+        Json entry = benchEntry(run.jobs[k].name, documented.results[k],
+                                documented.jobSeconds[k]);
+        storeEntry(i, entry);
+        entries.push(std::move(entry));
+        ++k;
     }
+    run.document = benchDocument(spec.name, std::move(entries),
+                                 documented.threads,
+                                 documented.wallSeconds, v2);
     if (!options.shard.isWhole()) {
         Json shard = Json::object();
         shard.set("index", options.shard.index);

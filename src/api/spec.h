@@ -285,7 +285,7 @@ struct RunSpecOptions
     /**
      * Optional observability registry handed to the sweep engine
      * (must outlive the call); `lsqca run --metrics FILE` uses it to
-     * snapshot sweep/pool instruments after the run. Null (the
+     * snapshot the sweep instruments after the run. Null (the
      * default) keeps the run instrumentation-free (docs/METRICS.md).
      */
     metrics::Registry *metrics = nullptr;

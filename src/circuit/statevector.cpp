@@ -5,22 +5,11 @@
 #include <numbers>
 
 #include "common/error.h"
-#include "sweep/thread_pool.h"
 
 namespace lsqca {
 namespace {
 
 constexpr std::complex<double> kI{0.0, 1.0};
-
-/**
- * Amplitude sweeps at or above this size fan out over the shared
- * thread pool; smaller states stay on the calling thread (the fork
- * overhead would dominate). 2^18 amplitudes = 4 MiB of state.
- */
-constexpr std::uint64_t kParallelAmps = std::uint64_t{1} << 18;
-
-/** Fixed chunk count for parallel sweeps (see parallelSum contract). */
-constexpr int kSweepChunks = 64;
 
 /**
  * Insert a zero bit at the position of @p bit (a power of two): maps a
@@ -64,29 +53,20 @@ cmul(std::complex<double> x, std::complex<double> y)
 }
 
 /**
- * Run kernel(a0, a1) over every (clear, set) amplitude pair of @p bit,
- * fanning out over the shared pool above the size threshold. The
- * kernel is a concrete functor type, so each gate shape compiles to
- * its own specialized loop.
+ * Run kernel(a0, a1) over every (clear, set) amplitude pair of @p bit.
+ * The kernel is a concrete functor type, so each gate shape compiles
+ * to its own specialized loop.
  */
 template <typename Kernel>
 inline void
 sweepPairs(std::complex<double> *amps, std::uint64_t size,
            std::uint64_t bit, Kernel kernel)
 {
-    const auto half = static_cast<std::int64_t>(size >> 1);
-    auto chunk = [amps, bit, kernel](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t g = lo; g < hi; ++g) {
-            const std::uint64_t base =
-                insertZeroBit(static_cast<std::uint64_t>(g), bit);
-            kernel(amps[base], amps[base | bit]);
-        }
-    };
-    if (size < kParallelAmps) {
-        chunk(0, half);
-        return;
+    const std::uint64_t half = size >> 1;
+    for (std::uint64_t g = 0; g < half; ++g) {
+        const std::uint64_t base = insertZeroBit(g, bit);
+        kernel(amps[base], amps[base | bit]);
     }
-    parallelFor(ThreadPool::shared(), 0, half, kSweepChunks, chunk);
 }
 
 /** As sweepPairs, but visits only the set-bit amplitudes (phase-type
@@ -96,18 +76,9 @@ inline void
 sweepSetHalf(std::complex<double> *amps, std::uint64_t size,
              std::uint64_t bit, Kernel kernel)
 {
-    const auto half = static_cast<std::int64_t>(size >> 1);
-    auto chunk = [amps, bit, kernel](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t g = lo; g < hi; ++g)
-            kernel(amps[insertZeroBit(static_cast<std::uint64_t>(g),
-                                      bit) |
-                        bit]);
-    };
-    if (size < kParallelAmps) {
-        chunk(0, half);
-        return;
-    }
-    parallelFor(ThreadPool::shared(), 0, half, kSweepChunks, chunk);
+    const std::uint64_t half = size >> 1;
+    for (std::uint64_t g = 0; g < half; ++g)
+        kernel(amps[insertZeroBit(g, bit) | bit]);
 }
 
 } // namespace
@@ -150,37 +121,21 @@ StateVector::probabilityOne(QubitId q) const
     // to the full index with the qubit bit forced to 1. Half the
     // iterations of the old full scan, and no per-index branch.
     const std::uint64_t bit = stride(q);
-    const auto half = static_cast<std::int64_t>(amps_.size() >> 1);
+    const std::uint64_t half = amps_.size() >> 1;
     const Amplitude *amps = amps_.data();
-    auto chunk = [amps, bit](std::int64_t lo, std::int64_t hi) {
-        double p = 0.0;
-        for (std::int64_t g = lo; g < hi; ++g)
-            p += std::norm(
-                amps[insertZeroBit(static_cast<std::uint64_t>(g), bit) |
-                     bit]);
-        return p;
-    };
-    if (amps_.size() < kParallelAmps)
-        return chunk(0, half);
-    return parallelSum(ThreadPool::shared(), 0, half, kSweepChunks,
-                       chunk);
+    double p = 0.0;
+    for (std::uint64_t g = 0; g < half; ++g)
+        p += std::norm(amps[insertZeroBit(g, bit) | bit]);
+    return p;
 }
 
 double
 StateVector::norm() const
 {
-    const Amplitude *amps = amps_.data();
-    auto chunk = [amps](std::int64_t lo, std::int64_t hi) {
-        double n = 0.0;
-        for (std::int64_t i = lo; i < hi; ++i)
-            n += std::norm(amps[i]);
-        return n;
-    };
-    const auto size = static_cast<std::int64_t>(amps_.size());
-    if (amps_.size() < kParallelAmps)
-        return chunk(0, size);
-    return parallelSum(ThreadPool::shared(), 0, size, kSweepChunks,
-                       chunk);
+    double n = 0.0;
+    for (const Amplitude &a : amps_)
+        n += std::norm(a);
+    return n;
 }
 
 double
@@ -326,22 +281,12 @@ StateVector::applyCX(QubitId control, QubitId target)
     // Enumerate only the control=1, target=0 quarter of the space.
     std::uint64_t lo = cbit, hi = tbit;
     sortBits2(lo, hi);
-    const auto quarter = static_cast<std::int64_t>(amps_.size() >> 2);
+    const std::uint64_t quarter = amps_.size() >> 2;
     Amplitude *amps = amps_.data();
-    auto chunk = [amps, lo, hi, cbit, tbit](std::int64_t a,
-                                            std::int64_t b) {
-        for (std::int64_t g = a; g < b; ++g) {
-            const std::uint64_t i =
-                insertZeroBits2(static_cast<std::uint64_t>(g), lo, hi) |
-                cbit;
-            std::swap(amps[i], amps[i | tbit]);
-        }
-    };
-    if (amps_.size() < kParallelAmps) {
-        chunk(0, quarter);
-        return;
+    for (std::uint64_t g = 0; g < quarter; ++g) {
+        const std::uint64_t i = insertZeroBits2(g, lo, hi) | cbit;
+        std::swap(amps[i], amps[i | tbit]);
     }
-    parallelFor(ThreadPool::shared(), 0, quarter, kSweepChunks, chunk);
 }
 
 void
@@ -352,22 +297,12 @@ StateVector::applyCZ(QubitId a, QubitId b)
     LSQCA_REQUIRE(a != b, "cz operands must differ");
     std::uint64_t lo = abit, hi = bbit;
     sortBits2(lo, hi);
-    const auto quarter = static_cast<std::int64_t>(amps_.size() >> 2);
+    const std::uint64_t quarter = amps_.size() >> 2;
     Amplitude *amps = amps_.data();
-    auto chunk = [amps, lo, hi, abit, bbit](std::int64_t from,
-                                            std::int64_t to) {
-        for (std::int64_t g = from; g < to; ++g) {
-            const std::uint64_t i =
-                insertZeroBits2(static_cast<std::uint64_t>(g), lo, hi) |
-                abit | bbit;
-            amps[i] = -amps[i];
-        }
-    };
-    if (amps_.size() < kParallelAmps) {
-        chunk(0, quarter);
-        return;
+    for (std::uint64_t g = 0; g < quarter; ++g) {
+        const std::uint64_t i = insertZeroBits2(g, lo, hi) | abit | bbit;
+        amps[i] = -amps[i];
     }
-    parallelFor(ThreadPool::shared(), 0, quarter, kSweepChunks, chunk);
 }
 
 void
@@ -378,22 +313,12 @@ StateVector::applySwap(QubitId a, QubitId b)
     LSQCA_REQUIRE(a != b, "swap operands must differ");
     std::uint64_t lo = abit, hi = bbit;
     sortBits2(lo, hi);
-    const auto quarter = static_cast<std::int64_t>(amps_.size() >> 2);
+    const std::uint64_t quarter = amps_.size() >> 2;
     Amplitude *amps = amps_.data();
-    auto chunk = [amps, lo, hi, abit, bbit](std::int64_t from,
-                                            std::int64_t to) {
-        for (std::int64_t g = from; g < to; ++g) {
-            const std::uint64_t i =
-                insertZeroBits2(static_cast<std::uint64_t>(g), lo, hi) |
-                abit;
-            std::swap(amps[i], amps[(i & ~abit) | bbit]);
-        }
-    };
-    if (amps_.size() < kParallelAmps) {
-        chunk(0, quarter);
-        return;
+    for (std::uint64_t g = 0; g < quarter; ++g) {
+        const std::uint64_t i = insertZeroBits2(g, lo, hi) | abit;
+        std::swap(amps[i], amps[(i & ~abit) | bbit]);
     }
-    parallelFor(ThreadPool::shared(), 0, quarter, kSweepChunks, chunk);
 }
 
 void
@@ -409,26 +334,14 @@ StateVector::applyCCX(QubitId c0, QubitId c1, QubitId target)
     // then the control bits are forced on.
     std::uint64_t bits[3] = {b0, b1, tbit};
     std::sort(bits, bits + 3);
-    const auto eighth = static_cast<std::int64_t>(amps_.size() >> 3);
+    const std::uint64_t eighth = amps_.size() >> 3;
     Amplitude *amps = amps_.data();
     const std::uint64_t lo = bits[0], mid = bits[1], hi = bits[2];
-    auto chunk = [amps, lo, mid, hi, b0, b1, tbit](std::int64_t from,
-                                                   std::int64_t to) {
-        for (std::int64_t g = from; g < to; ++g) {
-            const std::uint64_t i =
-                insertZeroBit(
-                    insertZeroBits2(static_cast<std::uint64_t>(g), lo,
-                                    mid),
-                    hi) |
-                b0 | b1;
-            std::swap(amps[i], amps[i | tbit]);
-        }
-    };
-    if (amps_.size() < kParallelAmps) {
-        chunk(0, eighth);
-        return;
+    for (std::uint64_t g = 0; g < eighth; ++g) {
+        const std::uint64_t i =
+            insertZeroBit(insertZeroBits2(g, lo, mid), hi) | b0 | b1;
+        std::swap(amps[i], amps[i | tbit]);
     }
-    parallelFor(ThreadPool::shared(), 0, eighth, kSweepChunks, chunk);
 }
 
 bool
@@ -445,21 +358,12 @@ StateVector::measureZ(QubitId q)
     // once from the outcome.
     const std::uint64_t keepSide = outcome ? bit : 0;
     const std::uint64_t dropSide = outcome ? 0 : bit;
-    const auto half = static_cast<std::int64_t>(amps_.size() >> 1);
+    const std::uint64_t half = amps_.size() >> 1;
     Amplitude *amps = amps_.data();
-    auto chunk = [amps, bit, keepSide, dropSide,
-                  scale](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t g = lo; g < hi; ++g) {
-            const std::uint64_t base =
-                insertZeroBit(static_cast<std::uint64_t>(g), bit);
-            amps[base | keepSide] *= scale;
-            amps[base | dropSide] = {0.0, 0.0};
-        }
-    };
-    if (amps_.size() < kParallelAmps) {
-        chunk(0, half);
-    } else {
-        parallelFor(ThreadPool::shared(), 0, half, kSweepChunks, chunk);
+    for (std::uint64_t g = 0; g < half; ++g) {
+        const std::uint64_t base = insertZeroBit(g, bit);
+        amps[base | keepSide] *= scale;
+        amps[base | dropSide] = {0.0, 0.0};
     }
     return outcome;
 }

@@ -9,8 +9,9 @@
  * the measurement-based gadgets (4-T AND, T teleportation) are validated
  * by executing small instances exactly. It supports the full IR gate set,
  * Pauli measurements with collapse, and classically-conditioned gates.
- * Capacity is bounded (default 22 qubits) — it is a test oracle, not part
- * of the architecture model.
+ * Capacity is bounded (kMaxQubits = 24) and every kernel runs serially
+ * on the calling thread — it is a test oracle, not part of the
+ * architecture model.
  */
 
 #include <complex>

@@ -6,9 +6,9 @@
  * A lock-cheap registry of named counters, gauges, and histograms —
  * the in-process half of the campaign observability layer
  * (docs/METRICS.md). The service orchestrator counts spawns, retries
- * by cause, cache traffic, and escalations here; the sweep thread
- * pool (when a registry is attached) accounts queue-wait, per-job
- * wall, and per-worker busy time.
+ * by cause, cache traffic, and escalations here; the sweep engine
+ * (when a registry is attached) accounts queue-wait, per-job wall,
+ * and per-worker busy time.
  *
  * Cost model: instrument lookup (`counter("name")`) takes a mutex and
  * is meant to run once, at setup; the returned reference is stable

@@ -68,8 +68,17 @@ class Program
 
     std::int32_t numVariables() const { return numVariables_; }
     std::int32_t numValues() const { return numValues_; }
-    const std::vector<Instruction> &instructions() const { return code_; }
-    const std::vector<VariableRegister> &registers() const { return regs_; }
+    /**
+     * Lvalues only, as Circuit::gates(): a range-for over a
+     * temporary's member would iterate a destroyed vector.
+     */
+    const std::vector<Instruction> &instructions() const & { return code_; }
+    const std::vector<Instruction> &instructions() const && = delete;
+    const std::vector<VariableRegister> &registers() const &
+    {
+        return regs_;
+    }
+    const std::vector<VariableRegister> &registers() const && = delete;
 
     /** Declare a named variable register (metadata only). */
     void addRegister(const std::string &name, std::int32_t first,

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <thread>
 
 #include "api/serialize.h"
 #include "common/error.h"
-#include "sweep/thread_pool.h"
 
 namespace lsqca {
 namespace {
@@ -59,21 +59,30 @@ SweepEngine::run(const std::vector<SweepJob> &jobs) const
     // while each result lands in its submission slot, keeping the
     // output order — and therefore every downstream table — identical
     // to the serial loop.
-    auto runJob = [&](std::size_t index) {
-        const auto j0 = std::chrono::steady_clock::now();
-        report.results[index] =
-            simulate(*jobs[index].program, jobs[index].options);
-        report.jobSeconds[index] = secondsSince(j0);
-        if (jobsDone != nullptr) {
-            jobsDone->add();
-            jobWall->observe(report.jobSeconds[index]);
+    std::atomic<std::size_t> next{0};
+    const auto drain = [&](std::size_t w) {
+        double busy = 0.0;
+        for (;;) {
+            const std::size_t index =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (index >= jobs.size())
+                break;
+            // A job's queue wait is the sweep time that passed before
+            // its worker picked it up, net of that worker's own busy
+            // time — the load-imbalance signal `lsqca report`-style
+            // tooling reads.
+            if (queueWait != nullptr)
+                queueWait->observe(std::max(0.0, secondsSince(t0) - busy));
+            const auto j0 = std::chrono::steady_clock::now();
+            report.results[index] =
+                simulate(*jobs[index].program, jobs[index].options);
+            report.jobSeconds[index] = secondsSince(j0);
+            busy += report.jobSeconds[index];
+            if (jobsDone != nullptr) {
+                jobsDone->add();
+                jobWall->observe(report.jobSeconds[index]);
+            }
         }
-    };
-
-    // A job's queue wait is the sweep time that passed before its
-    // worker picked it up, net of that worker's own busy time — the
-    // load-imbalance signal `lsqca report`-style tooling reads.
-    const auto finishWorker = [&](std::size_t w, double busy) {
         if (metrics_ != nullptr)
             metrics_
                 ->gauge("sweep.worker." + std::to_string(w + 1) +
@@ -81,59 +90,32 @@ SweepEngine::run(const std::vector<SweepJob> &jobs) const
                 .set(busy);
     };
 
-    if (threads_ <= 1 || jobs.size() <= 1) {
-        double busy = 0.0;
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (queueWait != nullptr)
-                queueWait->observe(
-                    std::max(0.0, secondsSince(t0) - busy));
-            runJob(i);
-            busy += report.jobSeconds[i];
+    const std::size_t workers =
+        std::min(static_cast<std::size_t>(threads_), jobs.size());
+    if (workers <= 1) {
+        drain(0);
+    } else {
+        // An exception escaping a thread would terminate the process,
+        // so each worker parks its first one; a failed worker stops
+        // pulling jobs while the others drain the rest. jthread joins
+        // on scope exit, also when a later thread fails to start.
+        std::vector<std::exception_ptr> failures(workers);
+        {
+            std::vector<std::jthread> threads;
+            threads.reserve(workers);
+            for (std::size_t w = 0; w < workers; ++w)
+                threads.emplace_back([&, w] {
+                    try {
+                        drain(w);
+                    } catch (...) {
+                        failures[w] = std::current_exception();
+                    }
+                });
         }
-        finishWorker(0, busy);
-        report.wallSeconds = secondsSince(t0);
-        if (metrics_ != nullptr)
-            metrics_->gauge("sweep.wall_seconds")
-                .set(report.wallSeconds);
-        return report;
+        for (const std::exception_ptr &failure : failures)
+            if (failure)
+                std::rethrow_exception(failure);
     }
-
-    ThreadPool pool(static_cast<std::size_t>(
-        std::min<std::int64_t>(threads_,
-                               static_cast<std::int64_t>(jobs.size()))));
-    pool.attachMetrics(metrics_);
-    std::atomic<std::size_t> next{0};
-    std::vector<std::future<void>> drained;
-    drained.reserve(pool.size());
-    for (std::size_t w = 0; w < pool.size(); ++w) {
-        drained.push_back(pool.submit([&, w] {
-            double busy = 0.0;
-            for (;;) {
-                const std::size_t index =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (index >= jobs.size())
-                    break;
-                if (queueWait != nullptr)
-                    queueWait->observe(
-                        std::max(0.0, secondsSince(t0) - busy));
-                runJob(index);
-                busy += report.jobSeconds[index];
-            }
-            finishWorker(w, busy);
-        }));
-    }
-    // get() rethrows the first worker exception after all settle.
-    std::exception_ptr failure;
-    for (auto &f : drained) {
-        try {
-            f.get();
-        } catch (...) {
-            if (!failure)
-                failure = std::current_exception();
-        }
-    }
-    if (failure)
-        std::rethrow_exception(failure);
     report.wallSeconds = secondsSince(t0);
     if (metrics_ != nullptr)
         metrics_->gauge("sweep.wall_seconds").set(report.wallSeconds);

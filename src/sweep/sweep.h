@@ -7,7 +7,7 @@
  *
  * The paper's headline figures sweep many (program, architecture)
  * points; each simulate() call is independent, so the engine fans a job
- * vector across a fixed thread pool and collects results *in
+ * vector across its own worker threads and collects results *in
  * submission order* — a parallel sweep is bit-identical to the serial
  * loop it replaces, regardless of worker count. A JSON report
  * (`bench/out/BENCH_<name>.json`) records per-job metrics plus
@@ -41,7 +41,7 @@ struct SweepReport
     std::vector<SimResult> results;  ///< submission order
     std::vector<double> jobSeconds;  ///< per-job wall time
     double wallSeconds = 0.0;        ///< whole-sweep wall time
-    std::int32_t threads = 1;        ///< workers actually used
+    std::int32_t threads = 1;        ///< configured worker count
 };
 
 /** Engine options. */
@@ -53,23 +53,26 @@ struct SweepOptions
      * Optional observability registry (must outlive the run call).
      * When attached, each run() accounts `sweep.jobs`,
      * `sweep.job_wall_seconds`, `sweep.queue_wait_seconds`,
-     * per-worker `sweep.worker.<w>.busy_seconds` gauges, and the
-     * pool's queue metrics (docs/METRICS.md). Detached (the default),
+     * per-worker `sweep.worker.<w>.busy_seconds` gauges, and
+     * `sweep.wall_seconds` (docs/METRICS.md). Detached (the default),
      * the engine takes no extra clock reads and results — and BENCH
      * bytes — are exactly those of an uninstrumented run.
      */
     metrics::Registry *metrics = nullptr;
 };
 
-/** Fans simulate() jobs across a fixed thread pool. */
+/** Fans simulate() jobs across worker threads. */
 class SweepEngine
 {
   public:
     explicit SweepEngine(SweepOptions options = {});
 
     /**
-     * Run every job and return results in submission order. Exceptions
-     * from any job propagate to the caller after all workers settle.
+     * Run every job and return results in submission order. Starts
+     * min(threads, jobs) threads, or runs on the calling thread when
+     * that is at most one. A throwing job stops its worker; once every
+     * worker has joined, the first worker's exception (in worker
+     * order) is rethrown.
      */
     SweepReport run(const std::vector<SweepJob> &jobs) const;
 

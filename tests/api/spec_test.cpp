@@ -307,6 +307,31 @@ TEST(ShardRange, ParsesAndValidates)
     EXPECT_THROW(ShardRange::parse("1/0"), ConfigError);
 }
 
+TEST(WorkerFlags, RejectMalformedTimeoutsAndFingerprints)
+{
+    // `lsqca run` takes these from the orchestrator; a malformed policy
+    // value must stop the worker, not run an unlimited or unchecked
+    // sweep, and the error must name the flag.
+    const auto rejects = [](auto parse, const char *text,
+                            const std::string &flag) {
+        try {
+            parse(text);
+            ADD_FAILURE() << flag << " accepted \"" << text << "\"";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(flag + " expects"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    EXPECT_DOUBLE_EQ(parseTimeoutSeconds("2.5"), 2.5);
+    for (const char *bad : {"x", "0", "-1", "2.5s", "", "2e9"})
+        rejects(parseTimeoutSeconds, bad, "--timeout-seconds");
+    EXPECT_EQ(parseFingerprintArg("0123456789abcdef"), "0123456789abcdef");
+    for (const char *bad : {"nope", "0123456789ABCDEF", "0123456789abcde",
+                            "0123456789abcdef0", ""})
+        rejects(parseFingerprintArg, bad, "--seed-check");
+}
+
 TEST(ShardRange, SlicesPartitionTheJobList)
 {
     for (const std::size_t total : {0u, 1u, 7u, 126u, 1785u}) {

@@ -2,10 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/error.h"
 
 namespace lsqca {
 namespace {
+
+// Lvalue-only accessor: `for (g : makeCircuit().gates())` must stay a
+// compile error.
+template <typename C>
+constexpr bool kGatesCompile = requires { std::declval<C>().gates(); };
+static_assert(kGatesCompile<const Circuit &>);
+static_assert(!kGatesCompile<Circuit>);
 
 TEST(Circuit, RegistersAreContiguous)
 {

@@ -3,7 +3,7 @@
  * MetricsRegistry coverage: instrument semantics (counter, gauge,
  * histogram), reference stability, kind checking, the name-sorted
  * deterministic snapshot, and thread-safety of concurrent updates —
- * the properties the sweep pool and orchestrator instrumentation
+ * the properties the sweep engine and orchestrator instrumentation
  * (docs/METRICS.md) stand on.
  */
 

@@ -25,19 +25,13 @@ TEST(BenchArgs, ParsesTheSupportedFlags)
 {
     const BenchArgs args =
         parse({"--csv", "csvdir", "--full", "--threads", "8", "--out",
-               "outdir", "--smoke", "--shard", "1/4",
-               "--timeout-seconds", "2.5", "--seed-check",
-               "0123456789abcdef"});
+               "outdir", "--smoke"});
     ASSERT_TRUE(args.csvDir.has_value());
     EXPECT_EQ(*args.csvDir, "csvdir");
     EXPECT_TRUE(args.full);
     EXPECT_EQ(args.threads, 8);
     EXPECT_EQ(args.outDir, "outdir");
     EXPECT_TRUE(args.smoke);
-    EXPECT_EQ(args.shard.index, 1);
-    EXPECT_EQ(args.shard.count, 4);
-    EXPECT_DOUBLE_EQ(args.timeoutSeconds, 2.5);
-    EXPECT_EQ(args.seedCheck, "0123456789abcdef");
 }
 
 TEST(BenchArgsDeathTest, RejectsUnknownArguments)
@@ -68,41 +62,6 @@ TEST(BenchArgsDeathTest, RejectsMissingValues)
     EXPECT_EXIT(parse({"--out"}), testing::ExitedWithCode(2),
                 "missing value");
     EXPECT_EXIT(parse({"--threads"}), testing::ExitedWithCode(2),
-                "missing value");
-}
-
-TEST(BenchArgsDeathTest, RejectsBadShards)
-{
-    EXPECT_EXIT(parse({"--shard", "2/2"}), testing::ExitedWithCode(2),
-                "shard");
-    EXPECT_EXIT(parse({"--shard", "nope"}), testing::ExitedWithCode(2),
-                "shard");
-}
-
-TEST(BenchArgsDeathTest, RejectsBadTimeouts)
-{
-    // The orchestrator passes these through to workers; a malformed
-    // policy value must stop the worker, not run an unlimited sweep.
-    EXPECT_EXIT(parse({"--timeout-seconds", "x"}),
-                testing::ExitedWithCode(2),
-                "--timeout-seconds expects");
-    EXPECT_EXIT(parse({"--timeout-seconds", "0"}),
-                testing::ExitedWithCode(2),
-                "--timeout-seconds expects");
-    EXPECT_EXIT(parse({"--timeout-seconds", "-1"}),
-                testing::ExitedWithCode(2),
-                "--timeout-seconds expects");
-    EXPECT_EXIT(parse({"--timeout-seconds"}),
-                testing::ExitedWithCode(2), "missing value");
-}
-
-TEST(BenchArgsDeathTest, RejectsBadSeedChecks)
-{
-    EXPECT_EXIT(parse({"--seed-check", "nope"}),
-                testing::ExitedWithCode(2), "--seed-check expects");
-    EXPECT_EXIT(parse({"--seed-check", "0123456789ABCDEF"}),
-                testing::ExitedWithCode(2), "--seed-check expects");
-    EXPECT_EXIT(parse({"--seed-check"}), testing::ExitedWithCode(2),
                 "missing value");
 }
 

@@ -3,11 +3,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 
 namespace lsqca {
 namespace {
+
+// Lvalue-only accessors: a range-for over a temporary's member, as in
+// `for (inst : translate(c).instructions())`, must stay a compile error.
+template <typename P>
+constexpr bool kInstructionsCompile =
+    requires { std::declval<P>().instructions(); };
+template <typename P>
+constexpr bool kRegistersCompile =
+    requires { std::declval<P>().registers(); };
+static_assert(kInstructionsCompile<const Program &>);
+static_assert(!kInstructionsCompile<Program>);
+static_assert(kRegistersCompile<const Program &>);
+static_assert(!kRegistersCompile<Program>);
 
 Instruction
 makeLd(std::int32_t m, std::int32_t c)

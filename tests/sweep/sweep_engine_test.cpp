@@ -72,7 +72,7 @@ TEST(SweepEngine, ParallelSweepsAreBitIdenticalToSerial)
 TEST(SweepEngine, ResultsStayInSubmissionOrder)
 {
     // Jobs of wildly different sizes: the large one finishes last on a
-    // multi-worker pool, but must stay in its submission slot.
+    // multi-worker sweep, but must stay in its submission slot.
     const Program small = translate(lowerToCliffordT(makeGhz(4)));
     const Program large = translate(lowerToCliffordT(makeAdder(12)));
     std::vector<SweepJob> jobs;
@@ -102,19 +102,37 @@ TEST(SweepEngine, EmptyJobListYieldsEmptyReport)
 
 TEST(SweepEngine, JobExceptionPropagates)
 {
+    // A throwing job surfaces as exactly one ConfigError from run() —
+    // never an exception escaping a worker thread (std::terminate) —
+    // at any thread count, with or without a registry attached.
     const Program program = translate(lowerToCliffordT(makeGhz(4)));
-    std::vector<SweepJob> jobs;
     SweepJob ok;
     ok.name = "ok";
     ok.program = &program;
     ok.options.arch.sam = SamKind::Point;
-    jobs.push_back(ok);
     SweepJob bad = ok;
     bad.name = "bad";
     bad.options.arch.banks = 3; // invalid for point SAM
-    jobs.push_back(bad);
-    SweepEngine engine({2});
-    EXPECT_THROW(engine.run(jobs), ConfigError);
+
+    std::vector<SweepJob> oneBad(12, ok);
+    oneBad[5] = bad;
+    const std::vector<std::pair<const char *, std::vector<SweepJob>>>
+        cases = {{"one bad job", oneBad},
+                 {"every job bad", std::vector<SweepJob>(8, bad)},
+                 {"fewer jobs than threads", {ok, bad}}};
+    for (const auto &[label, jobs] : cases) {
+        for (const std::int32_t threads : {1, 4, 8}) {
+            for (const bool attached : {false, true}) {
+                SCOPED_TRACE(std::string(label) + ", " +
+                             std::to_string(threads) + " threads" +
+                             (attached ? ", metrics" : ""));
+                metrics::Registry registry;
+                SweepEngine engine(
+                    {threads, attached ? &registry : nullptr});
+                EXPECT_THROW(engine.run(jobs), ConfigError);
+            }
+        }
+    }
 }
 
 TEST(SweepEngine, RejectsNullProgram)

@@ -97,7 +97,7 @@ usage(std::ostream &out, int code)
         "      --job-cache DIR   splice already-computed jobs from (and\n"
         "                        publish new ones to) a job-granularity\n"
         "                        result cache (docs/SERVICE.md)\n"
-        "      --metrics FILE    write a sweep/pool metrics snapshot\n"
+        "      --metrics FILE    write a sweep metrics snapshot\n"
         "                        (\"-\" = stdout; docs/METRICS.md)\n"
         "      --full            builtin specs only: drop prefixes\n"
         "  expand <spec>       validate a spec and print its job list\n"
