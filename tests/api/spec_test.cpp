@@ -307,29 +307,38 @@ TEST(ShardRange, ParsesAndValidates)
     EXPECT_THROW(ShardRange::parse("1/0"), ConfigError);
 }
 
-TEST(WorkerFlags, RejectMalformedTimeoutsAndFingerprints)
+/**
+ * `lsqca run` takes --timeout-seconds and --seed-check from the
+ * orchestrator; a malformed policy value must stop the worker, not run
+ * an unlimited or unchecked sweep, and the error must name the flag.
+ */
+template <typename Parse>
+void
+expectRejected(Parse parse, const char *text, const std::string &flag)
 {
-    // `lsqca run` takes these from the orchestrator; a malformed policy
-    // value must stop the worker, not run an unlimited or unchecked
-    // sweep, and the error must name the flag.
-    const auto rejects = [](auto parse, const char *text,
-                            const std::string &flag) {
-        try {
-            parse(text);
-            ADD_FAILURE() << flag << " accepted \"" << text << "\"";
-        } catch (const ConfigError &e) {
-            EXPECT_NE(std::string(e.what()).find(flag + " expects"),
-                      std::string::npos)
-                << e.what();
-        }
-    };
+    try {
+        parse(text);
+        ADD_FAILURE() << flag << " accepted \"" << text << "\"";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find(flag + " expects"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(WorkerFlags, RejectMalformedTimeouts)
+{
     EXPECT_DOUBLE_EQ(parseTimeoutSeconds("2.5"), 2.5);
     for (const char *bad : {"x", "0", "-1", "2.5s", "", "2e9"})
-        rejects(parseTimeoutSeconds, bad, "--timeout-seconds");
+        expectRejected(parseTimeoutSeconds, bad, "--timeout-seconds");
+}
+
+TEST(WorkerFlags, RejectMalformedFingerprints)
+{
     EXPECT_EQ(parseFingerprintArg("0123456789abcdef"), "0123456789abcdef");
     for (const char *bad : {"nope", "0123456789ABCDEF", "0123456789abcde",
                             "0123456789abcdef0", ""})
-        rejects(parseFingerprintArg, bad, "--seed-check");
+        expectRejected(parseFingerprintArg, bad, "--seed-check");
 }
 
 TEST(ShardRange, SlicesPartitionTheJobList)
@@ -489,6 +498,37 @@ TEST(RunSpec, BreakdownSpecEmitsBenchV2AndMergesRoundTrip)
         runSpec(plain, plainRegistry, options).document;
     EXPECT_THROW(mergeBenchReports({v1doc, whole.document}),
                  ConfigError);
+}
+
+TEST(RunSpec, UncachedDocumentEqualsBenchReport)
+{
+    // Without a job cache every entry is computed, and the splice loop
+    // must emit exactly what benchReport() builds from the same sweep:
+    // timed or not, v1 or v2.
+    for (const bool breakdown : {false, true}) {
+        SCOPED_TRACE(breakdown ? "v2" : "v1");
+        SweepSpec spec = toySpec();
+        spec.recordBreakdown = breakdown;
+        BenchmarkRegistry registry = BenchmarkRegistry::paper();
+        RunSpecOptions options;
+        options.writeJson = false;
+        options.threads = 2;
+        const SpecRun timed = runSpec(spec, registry, options);
+        EXPECT_EQ(timed.document.dump(),
+                  benchReport(spec.name, timed.jobs, timed.report,
+                              breakdown)
+                      .dump());
+
+        options.noTiming = true;
+        const SpecRun untimed = runSpec(spec, registry, options);
+        SweepReport zeroed = untimed.report;
+        zeroed.threads = 0;
+        zeroed.wallSeconds = 0.0;
+        zeroed.jobSeconds.assign(zeroed.results.size(), 0.0);
+        EXPECT_EQ(untimed.document.dump(),
+                  benchReport(spec.name, untimed.jobs, zeroed, breakdown)
+                      .dump());
+    }
 }
 
 TEST(RunSpec, ResultsMatchDirectSimulation)

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "common/error.h"
 
@@ -240,6 +243,82 @@ TEST(StateVector, AndMacrosActAsToffoli)
     c.andInit(0, 1, 2);
     auto run = runStateVector(c);
     EXPECT_NEAR(run.state.probabilityOne(2), 1.0, kEps);
+}
+
+/** A gate mix touching every kernel shape on qubits a, b, c. */
+void
+applyMix(StateVector &sv, QubitId a, QubitId b, QubitId c)
+{
+    sv.applyH(a);
+    sv.applyT(a);
+    sv.applyCX(a, b);
+    sv.applyH(c);
+    sv.applyS(c);
+    sv.applyCCX(a, c, b);
+    sv.applyY(b);
+    sv.applyCZ(a, c);
+    sv.applySwap(b, c);
+    sv.applyTdg(a);
+    sv.applySdg(b);
+    sv.applyX(c);
+    sv.applyH(b);
+}
+
+TEST(StateVector, LargeRegisterMatchesASmallOne)
+{
+    // 18 qubits is 2^18 amplitudes, where the kernels once switched to
+    // a threaded path; they now run serially at every size. The same
+    // circuit on three far-apart qubits of an 18-qubit register must
+    // leave the amplitudes of the 3-qubit run, measurement included.
+    const std::array<QubitId, 3> wide = {0, 9, 17};
+    StateVector small(3, 99), large(18, 99);
+    applyMix(small, 0, 1, 2);
+    applyMix(large, wide[0], wide[1], wide[2]);
+    const auto compare = [&] {
+        EXPECT_NEAR(large.norm(), 1.0, kEps);
+        for (std::uint64_t k = 0; k < 8; ++k) {
+            std::uint64_t index = 0;
+            for (std::size_t q = 0; q < 3; ++q)
+                if ((k >> q) & 1)
+                    index |= std::uint64_t{1} << wide[q];
+            EXPECT_NEAR(large.amplitude(index).real(),
+                        small.amplitude(k).real(), kEps)
+                << k;
+            EXPECT_NEAR(large.amplitude(index).imag(),
+                        small.amplitude(k).imag(), kEps)
+                << k;
+        }
+        for (std::size_t q = 0; q < 3; ++q)
+            EXPECT_NEAR(large.probabilityOne(wide[q]),
+                        small.probabilityOne(static_cast<QubitId>(q)),
+                        kEps);
+    };
+    compare();
+    EXPECT_EQ(large.measureZ(wide[1]), small.measureZ(1));
+    compare();
+}
+
+TEST(StateVector, IndependentRegistersRunConcurrently)
+{
+    // No kernel shares state across registers, so separate threads may
+    // each drive their own StateVector and match the serial run.
+    constexpr int kThreads = 4;
+    constexpr std::int32_t kQubits = 16;
+    StateVector reference(kQubits);
+    for (QubitId q = 0; q + 2 < kQubits; q += 3)
+        applyMix(reference, q, q + 1, q + 2);
+
+    std::vector<StateVector> states(kThreads, StateVector(kQubits));
+    {
+        std::vector<std::jthread> threads;
+        for (StateVector &sv : states)
+            threads.emplace_back([&sv] {
+                for (QubitId q = 0; q + 2 < kQubits; q += 3)
+                    applyMix(sv, q, q + 1, q + 2);
+            });
+    }
+    for (const StateVector &sv : states)
+        EXPECT_NEAR(sv.fidelity(reference), 1.0, kEps);
 }
 
 } // namespace

@@ -42,6 +42,19 @@ TEST(BenchArgsDeathTest, RejectsUnknownArguments)
                 "unknown argument");
 }
 
+TEST(BenchArgsDeathTest, RejectsWorkerOnlyFlags)
+{
+    // Campaign workers are `lsqca run`; a figure bench takes no shard,
+    // timeout or seed-check flag and must not quietly run the whole
+    // sweep when handed one.
+    EXPECT_EXIT(parse({"--shard", "1/4"}), testing::ExitedWithCode(2),
+                "unknown argument");
+    EXPECT_EXIT(parse({"--timeout-seconds", "2.5"}),
+                testing::ExitedWithCode(2), "unknown argument");
+    EXPECT_EXIT(parse({"--seed-check", "0123456789abcdef"}),
+                testing::ExitedWithCode(2), "unknown argument");
+}
+
 TEST(BenchArgsDeathTest, RejectsMalformedThreads)
 {
     // atoi("x") == 0 used to silently fall back to one worker.

@@ -473,6 +473,29 @@ TEST(Cli, RunWritesAMetricsSnapshotOnRequest)
               fsutil::readFile(dir + "/plain/BENCH_smoke.json"));
 }
 
+TEST(Cli, RunMetricsSnapshotHoldsOnlySweepInstruments)
+{
+    // `lsqca run --metrics` snapshots the sweep engine's instruments
+    // and nothing else: one worker gauge per started thread.
+    const std::string dir = test::scratchDir("runmetricskeys");
+    const CliResult result =
+        runCli({"run", test::kSmokeSpec, "--threads", "3",
+                "--no-timing", "--out", dir + "/out", "--metrics",
+                dir + "/metrics.json"},
+               dir + "/runlog");
+    EXPECT_EQ(result.exitCode, 0);
+    const Json snapshot =
+        Json::parse(fsutil::readFile(dir + "/metrics.json"));
+    ASSERT_TRUE(snapshot.isObject());
+    for (const auto &[key, value] : snapshot.members())
+        EXPECT_EQ(key.rfind("sweep.", 0), 0u) << key;
+    for (const char *key : {"sweep.worker.1.busy_seconds",
+                            "sweep.worker.2.busy_seconds",
+                            "sweep.worker.3.busy_seconds"})
+        EXPECT_TRUE(snapshot.contains(key)) << key;
+    EXPECT_FALSE(snapshot.contains("sweep.worker.4.busy_seconds"));
+}
+
 TEST(Cli, SubmitRejectsUnknownFlagsAndNonFileSpecs)
 {
     const std::string dir = test::scratchDir("submitbad");
