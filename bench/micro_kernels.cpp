@@ -1,9 +1,9 @@
 /**
  * @file
  * Chrono-based microbenchmarks for the two hot paths this repo's perf
- * work tracks: whole simulate() calls per machine kind (plus the
- * per-job Machine setup in front of each), and the statevector
- * amplitude kernels. Emits BENCH_micro.json so successive
+ * work tracks: whole simulate() calls per machine kind (plus lockstep
+ * lanes, and the per-job Machine setup in front of each), and the
+ * statevector amplitude kernels. Emits BENCH_micro.json so successive
  * runs are machine-comparable (tools/bench_diff.py fails CI on >10%
  * regressions).
  *
@@ -116,6 +116,22 @@ main(int argc, char **argv)
         record("simulate/point#1/adder",
                bestOf(simReps, [&] { simulate(adder, opts); }),
                "instruction", adder.size());
+    }
+    {
+        // The same point at 1, 2 and 4 factories as lanes of one bank
+        // walk (simulateLanes, what a sweep runs for those three jobs),
+        // per instruction per lane: it reads directly against
+        // simulate/point#1/adder, and the gap is what sharing the walk
+        // saves.
+        std::vector<SimOptions> lanes(3);
+        for (std::size_t k = 0; k < lanes.size(); ++k) {
+            lanes[k].arch.sam = SamKind::Point;
+            lanes[k].arch.factories = std::int32_t{1} << k;
+        }
+        record("simulate/point#1/adder/lanes-f124",
+               bestOf(simReps, [&] { simulateLanes(adder, lanes); }),
+               "lane-instruction",
+               adder.size() * static_cast<std::int64_t>(lanes.size()));
     }
     {
         // Observer-path overhead probe: same sweep point with one no-op

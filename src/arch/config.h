@@ -68,6 +68,8 @@ struct Latencies
     std::int32_t msfPeriod = 15;    ///< beats per magic state per factory
     std::int32_t magicTransfer = 1; ///< MSF buffer -> CR port
     std::int32_t skWait = 0;        ///< decoder wait charged by SK
+
+    bool operator==(const Latencies &) const = default;
 };
 
 /** Full architecture configuration for one simulation. */
@@ -112,6 +114,8 @@ struct ArchConfig
 
     /** Throws ConfigError on invalid combinations. */
     void validate() const;
+
+    bool operator==(const ArchConfig &) const = default;
 };
 
 } // namespace lsqca

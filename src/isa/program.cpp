@@ -1,11 +1,72 @@
 #include "isa/program.h"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <limits>
+#include <mutex>
 #include <sstream>
 
 #include "common/error.h"
 
 namespace lsqca {
+namespace {
+
+/** The extent of @p code [0, @p limit), value slots included. */
+PrefixExtent
+scanPrefix(const std::vector<Instruction> &code, std::int64_t limit)
+{
+    const auto n = static_cast<std::size_t>(limit);
+    LSQCA_REQUIRE(limit < std::numeric_limits<std::int32_t>::max(),
+                  "program prefix too long for value slots");
+    PrefixExtent extent;
+    auto slots = std::make_shared<ValueSlots>();
+    std::vector<std::int32_t> &slotOf = slots->slotOf;
+    // First pass: the highest CR slot, and each value's last use,
+    // kept in slotOf as -2 - index so every unassigned entry is
+    // negative.
+    for (std::size_t i = 0; i < n; ++i) {
+        const Instruction &inst = code[i];
+        extent.maxSlot = std::max({extent.maxSlot, inst.c0, inst.c1});
+        if (inst.v0 < 0)
+            continue;
+        const auto v = static_cast<std::size_t>(inst.v0);
+        if (v >= slotOf.size())
+            slotOf.resize(v + 1, -1);
+        slotOf[v] = -2 - static_cast<std::int32_t>(i);
+    }
+    // Second pass: hand a slot out at a value's first use and take it
+    // back at its last, which the slot remembers.
+    std::vector<std::int32_t> lastUseOf; // per slot
+    std::vector<std::int32_t> released;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Instruction &inst = code[i];
+        if (inst.v0 < 0)
+            continue;
+        std::int32_t &slot = slotOf[static_cast<std::size_t>(inst.v0)];
+        if (slot < 0) {
+            const std::int32_t lastUse = -2 - slot;
+            // A first use that reads must see 0: only a fresh slot does.
+            if (inst.op != Opcode::SK && !released.empty()) {
+                slot = released.back();
+                released.pop_back();
+            } else {
+                slot = slots->count++;
+                lastUseOf.push_back(0);
+            }
+            lastUseOf[static_cast<std::size_t>(slot)] = lastUse;
+        }
+        if (lastUseOf[static_cast<std::size_t>(slot)] ==
+            static_cast<std::int32_t>(i))
+            released.push_back(slot);
+    }
+    for (std::int32_t &slot : slotOf)
+        slot = std::max(slot, 0); // never named: never read either
+    extent.values = std::move(slots);
+    return extent;
+}
+
+} // namespace
 
 Program::Program(std::int32_t num_variables)
     : numVariables_(num_variables)
@@ -120,12 +181,22 @@ Program::prefixExtent(std::int64_t limit) const
         if (found != memo->end())
             return found->second;
     }
-    PrefixExtent extent;
-    for (std::int64_t i = 0; i < limit; ++i) {
-        const Instruction &inst = code_[static_cast<std::size_t>(i)];
-        extent.maxSlot = std::max({extent.maxSlot, inst.c0, inst.c1});
-        extent.maxValue = std::max(extent.maxValue, inst.v0);
+    // One builder per program at a time: sweep workers that start on
+    // the same program at once would each build a value-sized slot
+    // table. Programs hash to lock stripes, so different programs
+    // rarely wait for each other.
+    static std::array<std::mutex, 64> building;
+    const auto stripe = reinterpret_cast<std::uintptr_t>(this) / 16;
+    const std::lock_guard<std::mutex> lock(
+        building[stripe % building.size()]);
+    memo = std::atomic_load_explicit(&prefixExtents_,
+                                     std::memory_order_acquire);
+    if (memo) {
+        const auto found = memo->find(limit);
+        if (found != memo->end())
+            return found->second;
     }
+    const PrefixExtent extent = scanPrefix(code_, limit);
     // Publish onto the newest map: a concurrent query for another
     // limit may have replaced the one loaded above.
     for (;;) {

@@ -50,11 +50,30 @@ struct StreamIndex
     std::vector<std::int64_t> memOps;
 };
 
-/** Highest CR slot and value slot a prefix references; -1 if none. */
+/**
+ * Where the simulator keeps each classical value's ready time. Values
+ * whose access spans (first to last instruction naming them) overlap
+ * never share a slot, and a value first named by a read (SK) gets a
+ * slot no earlier value used, so it reads 0 until written. Translated
+ * programs write each value once, shortly before the SK that reads
+ * it, so a few slots serve a million values and every simulated lane
+ * keeps a few ready times instead of one per value.
+ */
+struct ValueSlots
+{
+    /** slotOf[v] for every value id v up to the highest named. */
+    std::vector<std::int32_t> slotOf;
+    /** Slots handed out: the size of a ready-time table. */
+    std::int32_t count = 0;
+};
+
+/** What the simulator sizes its timelines from, over a prefix. */
 struct PrefixExtent
 {
+    /** Highest CR slot the prefix references; -1 if none. */
     std::int32_t maxSlot = -1;
-    std::int32_t maxValue = -1;
+    /** Value slots for the values the prefix names. */
+    std::shared_ptr<const ValueSlots> values;
 };
 
 /** An LSQCA instruction sequence plus symbol-table metadata. */
@@ -126,11 +145,11 @@ class Program
     std::vector<std::int64_t> referenceCounts() const;
 
     /**
-     * Highest CR slot and value slot referenced in [0, @p limit)
-     * (@p limit clamped to [0, size()]); the simulator sizes its ready
-     * timelines from it. Memoized per limit with the same contract as
-     * referenceCounts(): a sweep runs every job of a program at one
-     * prefix, so only the first job at each limit scans the stream.
+     * Extent of [0, @p limit) (@p limit clamped to [0, size()]); the
+     * simulator sizes its timelines from it. Memoized per limit with
+     * the same contract as referenceCounts(): a sweep runs every job
+     * of a program at one prefix, so only the first job at each limit
+     * scans the stream.
      */
     PrefixExtent prefixExtent(std::int64_t limit) const;
 

@@ -37,6 +37,19 @@
  * sampled estimator covers this approximation statistically (see
  * docs/SAMPLING.md).
  *
+ * Lanes. Jobs that differ only in magic-state supply walk the same
+ * banks: every load/store/seek/align/fetch cost depends on the
+ * instruction stream alone. So one machine, the leader (Lane::Lead),
+ * owns the banks and records every bank-derived value on a Tape;
+ * followers (Lane::Follow) own no banks, keep their own timelines and
+ * MagicSource, and replay the tape chunk by chunk, in lockstep with
+ * the leader (run()'s followers). The row-parallel window is the one
+ * bank decision that reads timing, so it is also the lane vote: every
+ * lane evaluates it, the leader's vote drives the banks, and a
+ * follower that votes otherwise marks itself diverged() and stops;
+ * its runner re-simulates it alone (simulateLanes()). A solo machine
+ * (Lane::Solo: simulate(), the estimator) records nothing.
+ *
  * This header is internal: nothing outside src/sim, src/estimate, the
  * test tree, and the micro-kernel bench should include it.
  */
@@ -81,6 +94,23 @@ maxOf(std::int64_t a, std::int64_t b, Rest... rest)
     return maxOf(maxOf(a, b), rest...);
 }
 
+/** A machine's part in a bank walk (file comment, "Lanes"). */
+enum class Lane : std::uint8_t
+{
+    Solo,   ///< walks its own banks (simulate(), the estimator)
+    Lead,   ///< walks the banks and records the tape for followers
+    Follow, ///< owns no banks; replays its leader's tape
+};
+
+/**
+ * The bank-derived values of one chunk of instructions, in the order
+ * the exec paths ask for them: the leader appends, followers replay.
+ */
+using Tape = std::vector<std::int64_t>;
+
+/** Instructions the leader runs before its followers replay them. */
+inline constexpr std::int64_t kLaneChunk = 1024;
+
 /**
  * The machine: bank state + resource timelines + in-order dataflow
  * issue. One instance per simulate() call.
@@ -96,58 +126,81 @@ maxOf(std::int64_t a, std::int64_t b, Rest... rest)
  * split bookkeeping, and no bank hooks — it compiles to the plain
  * simulator (the `ns_per_instr_null_observer` micro kernel tracks the
  * observed path's cost).
+ *
+ * LANE is the machine's part in a shared bank walk (file comment);
+ * only solo machines are observed.
  */
-template <SamKind KIND, bool OBSERVE>
+template <SamKind KIND, bool OBSERVE, Lane LANE = Lane::Solo>
 class Machine
 {
+    static_assert(!OBSERVE || LANE == Lane::Solo, "lanes are unobserved");
+
     /** Concrete bank model for this specialization (unused for the
      *  conventional machine, where no variable is SAM-resident). */
     using Bank = std::conditional_t<KIND == SamKind::Line, LineSamBank,
                                     PointSamBank>;
 
   public:
-    Machine(const Program &prog, const SimOptions &opts)
+    using Follower = Machine<KIND, false, Lane::Follow>;
+
+    /**
+     * A solo or leading machine, or with @p leaderTape a follower that
+     * replays that tape; a follower's options must share its leader's
+     * bank walk (sharesBankWalk()).
+     */
+    Machine(const Program &prog, const SimOptions &opts,
+            const Tape *leaderTape = nullptr)
         : prog_(prog), opts_(opts), cfg_(opts.arch),
           magic_(cfg_.factories, cfg_.effectiveBufferCap(),
                  cfg_.lat.msfPeriod, cfg_.lat.magicTransfer,
-                 cfg_.warmBuffer, cfg_.instantMagic)
+                 cfg_.warmBuffer, cfg_.instantMagic),
+          replay_(leaderTape)
     {
         cfg_.validate();
         LSQCA_ASSERT(cfg_.sam == KIND, "machine/config kind mismatch");
+        LSQCA_ASSERT((leaderTape != nullptr) == (LANE == Lane::Follow),
+                     "a follower, and only a follower, replays a tape");
         setupRegions();
         setupBanks();
         // Size the ready timelines by the simulated prefix, not the
-        // whole program: slots past the prefix maxima are never read
-        // or written. Program::prefixExtent() memoizes the maxima per
-        // limit, so only the first job at each prefix scans the
+        // whole program. Program::prefixExtent() memoizes the extent
+        // per limit, so only the first job at each prefix scans the
         // stream — an O(program) scan per Machine dominated the fig14
-        // sweeps. The sampled estimator's StreamIndex (16+ B per
-        // instruction) is deliberately not consulted here.
-        std::int64_t limit = prog.size();
-        if (opts.maxInstructions > 0)
-            limit = std::min(limit, opts.maxInstructions);
-        const PrefixExtent extent = prog.prefixExtent(limit);
+        // sweeps. Value ready times live in value slots, not one per
+        // value id: a few int64s per lane instead of 8 B per value.
+        // The sampled estimator's StreamIndex (16+ B per instruction)
+        // is deliberately not consulted here.
+        const PrefixExtent extent = prog.prefixExtent(instructionLimit());
         varReady_.assign(static_cast<std::size_t>(prog.numVariables()), 0);
-        valReady_.assign(static_cast<std::size_t>(extent.maxValue + 1), 0);
+        valueSlots_ = extent.values;
+        valueSlot_ = valueSlots_->slotOf.data();
+        valReady_.assign(static_cast<std::size_t>(valueSlots_->count), 0);
         const std::int32_t max_slot =
             std::max<std::int32_t>(1, extent.maxSlot);
         slotReady_.assign(static_cast<std::size_t>(max_slot) + 1, 0);
         scanFree_.assign(static_cast<std::size_t>(cfg_.banks), 0);
     }
 
-    // Deliberately not inlined into runKind(): letting GCC merge the
-    // observed and unobserved loops into one stack frame measurably
-    // hurt the unobserved loop's register allocation (+50% on the
-    // conventional CX handler).
+    /**
+     * Run the program. A leader runs each kLaneChunk instructions,
+     * then @p followers (lanes over its tape) replay them. Returns
+     * this lane's result; each follower's is its result(). simulate()
+     * is the one-lane case: a solo machine, no followers.
+     *
+     * Deliberately not inlined into runKind(): letting GCC merge the
+     * observed and unobserved loops into one stack frame measurably
+     * hurt the unobserved loop's register allocation (+50% on the
+     * conventional CX handler).
+     */
     __attribute__((noinline)) SimResult
-    run(const std::vector<SimObserver *> &observers)
+    run(const std::vector<SimObserver *> &observers,
+        const std::vector<Follower *> &followers = {})
     {
+        static_assert(LANE != Lane::Follow, "followers replay: follow()");
+        LSQCA_ASSERT(LANE == Lane::Lead || followers.empty(),
+                     "only a leader has followers");
         SimResult result;
-        result.floorplan =
-            floorplanStats(cfg_, prog_.numVariables(), numConventional_);
-        std::int64_t limit = prog_.size();
-        if (opts_.maxInstructions > 0)
-            limit = std::min(limit, opts_.maxInstructions);
+        const std::int64_t limit = instructionLimit();
         if constexpr (OBSERVE)
             beginObservation(observers, limit);
         const Instruction *code = prog_.instructions().data();
@@ -158,17 +211,8 @@ class Machine
                 curIndex_ = i;
                 pendingCells_.clear();
             }
-            const Step step = execute(inst);
-            const auto op_idx = static_cast<std::size_t>(inst.op);
-            ++result.opcodeCount[op_idx];
-            result.opcodeBeats[op_idx] += step.end - step.start;
-            result.memoryBeats += step.memoryBeats;
-            result.execBeats = std::max(result.execBeats, step.end);
-            // Counted in the same pass (was a second sweep over the
-            // program): every non-LD/ST instruction enters the CPI
-            // denominator.
-            result.countedInstructions +=
-                inst.op != Opcode::LD && inst.op != Opcode::ST;
+            const Step step = executeOne(inst);
+            account(result, inst, step);
             if constexpr (OBSERVE) {
                 InstructionEvent event;
                 event.index = i;
@@ -193,18 +237,66 @@ class Machine
                         observer->onBankCell(cell);
                 }
             }
+            if constexpr (LANE == Lane::Lead) {
+                // After every kLaneChunk instructions, and after the
+                // last, the followers replay what the leader just ran.
+                if ((i + 1) % kLaneChunk == 0 || i + 1 == limit) {
+                    const Instruction *begin = code + (i - i % kLaneChunk);
+                    for (Follower *follower : followers)
+                        follower->follow(begin, code + i + 1);
+                    tape_.clear();
+                }
+            }
         }
-        result.instructionsSimulated = limit;
-        result.cpi = result.countedInstructions == 0
-                         ? 0.0
-                         : static_cast<double>(result.execBeats) /
-                               static_cast<double>(
-                                   result.countedInstructions);
-        result.magicConsumed = magic_.consumed();
-        result.magicStallBeats = magic_.stallBeats();
         if constexpr (OBSERVE)
             endObservation();
-        return result;
+        return finish(std::move(result));
+    }
+
+    // ---- follower lanes --------------------------------------------------
+
+    /**
+     * Replay the chunk [@p first, @p last) the leader just ran, from
+     * its tape; a no-op once the lane has diverged.
+     */
+    __attribute__((noinline)) void
+    follow(const Instruction *first, const Instruction *last)
+    {
+        static_assert(LANE == Lane::Follow, "only followers replay");
+        tapePos_ = 0;
+        // Accumulate in a local, as run() does, so the sums can stay in
+        // registers across the chunk.
+        SimResult result = std::move(laneResult_);
+        for (; first != last && !diverged_; ++first) {
+            const Step step = executeOne(*first);
+            account(result, *first, step);
+        }
+        laneResult_ = std::move(result);
+    }
+
+    /** True once this follower lost a row-parallel vote; its
+     *  timelines are void from that instruction on. */
+    bool
+    diverged() const
+    {
+        return diverged_;
+    }
+
+    /** A follower's result after the leader's run() (not diverged). */
+    SimResult
+    result()
+    {
+        static_assert(LANE == Lane::Follow, "a leader's comes from run()");
+        LSQCA_ASSERT(!diverged_, "a diverged lane has no result");
+        return finish(std::move(laneResult_));
+    }
+
+    /** The tape a follower of this machine replays. */
+    const Tape &
+    tape() const
+    {
+        static_assert(LANE == Lane::Lead, "only a leader records");
+        return tape_;
     }
 
     // ---- stepwise interface (sampled estimator / harness) ---------------
@@ -265,16 +357,16 @@ class Machine
             return;
           case Opcode::LD:
             if (!isConv(inst.m0))
-                bank(inst.m0).commitLoad(inst.m0);
+                bank(inst.m0)->commitLoad(inst.m0);
             return;
           case Opcode::ST:
             if (!isConv(inst.m0))
-                bank(inst.m0).commitStore(inst.m0, cfg_.localityStore);
+                bank(inst.m0)->commitStore(inst.m0, cfg_.localityStore);
             return;
           case Opcode::HD_M:
           case Opcode::PH_M:
             if (!isConv(inst.m0)) {
-                Bank &b = bank(inst.m0);
+                Bank &b = *bank(inst.m0);
                 if (cfg_.inMemoryOps)
                     ffInMem1q(b, inst.m0);
                 else
@@ -284,7 +376,7 @@ class Machine
           case Opcode::MXX_M:
           case Opcode::MZZ_M:
             if (!isConv(inst.m0)) {
-                Bank &b = bank(inst.m0);
+                Bank &b = *bank(inst.m0);
                 if (cfg_.inMemoryOps)
                     ffInMem2q(b, inst.m0);
                 else
@@ -386,6 +478,47 @@ class Machine
     }
 
   private:
+    // ---- lane accounting -----------------------------------------------
+
+    std::int64_t
+    instructionLimit() const
+    {
+        std::int64_t limit = prog_.size();
+        if (opts_.maxInstructions > 0)
+            limit = std::min(limit, opts_.maxInstructions);
+        return limit;
+    }
+
+    /** Fold one executed instruction into @p result. */
+    static void
+    account(SimResult &result, const Instruction &inst, const Step &step)
+    {
+        const auto op_idx = static_cast<std::size_t>(inst.op);
+        ++result.opcodeCount[op_idx];
+        result.opcodeBeats[op_idx] += step.end - step.start;
+        result.memoryBeats += step.memoryBeats;
+        result.execBeats = std::max(result.execBeats, step.end);
+        // Every non-LD/ST instruction enters the CPI denominator.
+        result.countedInstructions +=
+            inst.op != Opcode::LD && inst.op != Opcode::ST;
+    }
+
+    /** Complete an accounted result once the last instruction ran. */
+    SimResult
+    finish(SimResult result) const
+    {
+        result.floorplan = floorplan();
+        result.instructionsSimulated = instructionLimit();
+        result.cpi = result.countedInstructions == 0
+                         ? 0.0
+                         : static_cast<double>(result.execBeats) /
+                               static_cast<double>(
+                                   result.countedInstructions);
+        result.magicConsumed = magic_.consumed();
+        result.magicStallBeats = magic_.stallBeats();
+        return result;
+    }
+
     // ---- telemetry -----------------------------------------------------
 
     /** Forwards one bank's grid mutations into pendingCells_. */
@@ -567,6 +700,8 @@ class Machine
                 static_cast<std::int32_t>(b);
             ++next;
         }
+        if constexpr (LANE == Lane::Follow)
+            return; // a follower replays its leader's banks
         for (auto &vars : dealt)
             vars = placementOrder(std::move(vars));
         banks_.resize(static_cast<std::size_t>(cfg_.banks));
@@ -599,35 +734,73 @@ class Machine
         return b;
     }
 
-    Bank &
+    /** @p m's bank; null on a follower, which owns none. */
+    Bank *
     bank(std::int32_t m) const
     {
-        return *banks_[static_cast<std::size_t>(bankOf(m))];
+        if constexpr (LANE == Lane::Follow)
+            return nullptr;
+        else
+            return banks_[static_cast<std::size_t>(bankOf(m))].get();
     }
 
-    // Cost-then-commit pairs against a caller-resolved bank reference:
-    // each exec path looks its bank up once per instruction instead of
-    // once per cost/commit call (the dispatch indirection showed up in
-    // the point/line simulate() profiles next to the scans themselves).
+    /**
+     * A value read from bank state, with any commit that goes with it:
+     * a machine with banks runs @p derive against them (a leader also
+     * records the value on its tape); a follower replays the leader's.
+     */
+    template <typename Derive>
+    std::int64_t
+    fromBanks(Derive &&derive)
+    {
+        if constexpr (LANE == Lane::Follow) {
+            return (*replay_)[tapePos_++];
+        } else {
+            const std::int64_t value = derive();
+            if constexpr (LANE == Lane::Lead)
+                tape_.push_back(value);
+            return value;
+        }
+    }
+
+    /** A bank commit with no value of its own; followers skip it. */
+    template <typename Commit>
+    void
+    commitBanks(Commit &&commit)
+    {
+        if constexpr (LANE != Lane::Follow)
+            commit();
+    }
+
+    // Cost-then-commit pairs against a caller-resolved bank: each exec
+    // path looks its bank up once per instruction instead of once per
+    // cost/commit call (the dispatch indirection showed up in the
+    // point/line simulate() profiles next to the scans themselves).
     // Each helper also owns its latency-split attribution, so every
     // exec path charges the right component without repeating itself
     // (the `if constexpr` strips it from the unobserved instantiation).
 
     std::int64_t
-    takeLoad(Bank &b, std::int32_t m)
+    takeLoad(Bank *b, std::int32_t m)
     {
-        const std::int64_t cost = b.loadCost(m);
-        b.commitLoad(m);
+        const std::int64_t cost = fromBanks([&] {
+            const std::int64_t c = b->loadCost(m);
+            b->commitLoad(m);
+            return c;
+        });
         if constexpr (OBSERVE)
             split_.load += cost;
         return cost;
     }
 
     std::int64_t
-    takeStore(Bank &b, std::int32_t m)
+    takeStore(Bank *b, std::int32_t m)
     {
-        const std::int64_t cost = b.storeCost(m, cfg_.localityStore);
-        b.commitStore(m, cfg_.localityStore);
+        const std::int64_t cost = fromBanks([&] {
+            const std::int64_t c = b->storeCost(m, cfg_.localityStore);
+            b->commitStore(m, cfg_.localityStore);
+            return c;
+        });
         if constexpr (OBSERVE)
             split_.store += cost;
         return cost;
@@ -635,7 +808,7 @@ class Machine
 
     /** Ablation path: round-trip through the CR instead of in-memory. */
     std::int64_t
-    takeRoundTrip(Bank &b, std::int32_t m)
+    takeRoundTrip(Bank *b, std::int32_t m)
     {
         // Sequenced explicitly: the store is only legal once the load
         // has removed m from the grid.
@@ -645,17 +818,23 @@ class Machine
 
     /** Scan/gap travel for an in-memory single-qubit op. */
     std::int64_t
-    takeInMem1q(Bank &b, std::int32_t m)
+    takeInMem1q(Bank *b, std::int32_t m)
     {
         if constexpr (KIND == SamKind::Line) {
-            const std::int64_t cost = b.alignCost(m);
-            b.commitAlign(m);
+            const std::int64_t cost = fromBanks([&] {
+                const std::int64_t c = b->alignCost(m);
+                b->commitAlign(m);
+                return c;
+            });
             if constexpr (OBSERVE)
                 split_.align += cost;
             return cost;
         } else {
-            const std::int64_t cost = b.seekCost(m);
-            b.commitSeek(m);
+            const std::int64_t cost = fromBanks([&] {
+                const std::int64_t c = b->seekCost(m);
+                b->commitSeek(m);
+                return c;
+            });
             if constexpr (OBSERVE)
                 split_.seek += cost;
             return cost;
@@ -664,17 +843,23 @@ class Machine
 
     /** Positioning for an in-memory two-qubit op against the CR/port. */
     std::int64_t
-    takeInMem2q(Bank &b, std::int32_t m)
+    takeInMem2q(Bank *b, std::int32_t m)
     {
         if constexpr (KIND == SamKind::Line) {
-            const std::int64_t cost = b.alignCost(m);
-            b.commitAlign(m);
+            const std::int64_t cost = fromBanks([&] {
+                const std::int64_t c = b->alignCost(m);
+                b->commitAlign(m);
+                return c;
+            });
             if constexpr (OBSERVE)
                 split_.align += cost;
             return cost;
         } else {
-            const std::int64_t cost = b.fetchToPortCost(m);
-            b.commitFetchToPort(m);
+            const std::int64_t cost = fromBanks([&] {
+                const std::int64_t c = b->fetchToPortCost(m);
+                b->commitFetchToPort(m);
+                return c;
+            });
             if constexpr (OBSERVE)
                 split_.pick += cost;
             return cost;
@@ -721,7 +906,7 @@ class Machine
 
         if (conv0 != conv1) {
             const std::int32_t q = conv0 ? inst.m1 : inst.m0;
-            Bank &b = bank(q);
+            Bank &b = *bank(q);
             if (cfg_.inMemoryOps)
                 ffInMem2q(b, q);
             else
@@ -729,8 +914,8 @@ class Machine
             return;
         }
 
-        Bank &bank0 = bank(inst.m0);
-        Bank &bank1 = bank(inst.m1);
+        Bank &bank0 = *bank(inst.m0);
+        Bank &bank1 = *bank(inst.m1);
         if (!cfg_.inMemoryOps) {
             // Ablation order matters: ld0, ld1, st0, st1.
             bank0.commitLoad(inst.m0);
@@ -777,6 +962,14 @@ class Machine
         const std::int64_t b = barrier_;
         barrier_ = 0;
         return b;
+    }
+
+    /** Ready time of classical value @p v, kept in its value slot. */
+    std::int64_t &
+    valueReady(std::int32_t v)
+    {
+        return valReady_[static_cast<std::size_t>(
+            valueSlot_[static_cast<std::size_t>(v)])];
     }
 
     std::int64_t &
@@ -903,7 +1096,7 @@ class Machine
         auto &slot = slotReady_[static_cast<std::size_t>(inst.c0)];
         const std::int64_t start = std::max(slot, takeBarrier());
         slot = start;
-        valReady_[static_cast<std::size_t>(inst.v0)] = start;
+        valueReady(inst.v0) = start;
         return {start, start, 0};
     }
 
@@ -916,7 +1109,7 @@ class Machine
             maxOf(slot0, slot1, takeBarrier());
         const std::int64_t end = start + cfg_.lat.surgery;
         slot0 = slot1 = end;
-        valReady_[static_cast<std::size_t>(inst.v0)] = end;
+        valueReady(inst.v0) = end;
         if constexpr (OBSERVE)
             split_.surgery += cfg_.lat.surgery;
         return {start, end, 0};
@@ -926,7 +1119,7 @@ class Machine
     execSkip(const Instruction &inst)
     {
         const std::int64_t start =
-            std::max(valReady_[static_cast<std::size_t>(inst.v0)],
+            std::max(valueReady(inst.v0),
                      takeBarrier());
         const std::int64_t end = start + cfg_.lat.skWait;
         barrier_ = end; // gates only the next instruction
@@ -942,7 +1135,7 @@ class Machine
         const std::int64_t start = std::max(var, takeBarrier());
         var = start;
         if (inst.v0 >= 0)
-            valReady_[static_cast<std::size_t>(inst.v0)] = start;
+            valueReady(inst.v0) = start;
         return {start, start, 0};
     }
 
@@ -962,19 +1155,30 @@ class Machine
             return {start, end, 0};
         }
         auto &scan = scanFree(inst.m0);
-        Bank &b = bank(inst.m0);
+        Bank *b = bank(inst.m0);
 
         // Row-parallel unitaries (Sec. V-C): a second H/S whose target
         // shares the currently-open gap-row window executes in the same
         // window for free. Line SAM only — the branch vanishes from the
-        // point/conventional instantiations.
+        // point/conventional instantiations. The window test reads
+        // timing, so it is the lane vote (file comment): a follower
+        // whose test disagrees with its leader's has diverged.
+        std::int32_t row = -1;
         if constexpr (KIND == SamKind::Line) {
-            if (cfg_.rowParallelOps && cfg_.inMemoryOps &&
-                barrier_ == 0 && rowBatch_.valid &&
-                rowBatch_.op == inst.op &&
-                rowBatch_.bank == bankOf(inst.m0)) {
-                const std::int32_t row = b.positionOf(inst.m0).row;
-                if (row == rowBatch_.row && var <= rowBatch_.start) {
+            if (cfg_.rowParallelOps && cfg_.inMemoryOps) {
+                row = static_cast<std::int32_t>(fromBanks(
+                    [&] { return b->positionOf(inst.m0).row; }));
+                const bool window =
+                    barrier_ == 0 && rowBatch_.valid &&
+                    rowBatch_.op == inst.op &&
+                    rowBatch_.bank == bankOf(inst.m0) &&
+                    row == rowBatch_.row && var <= rowBatch_.start;
+                if (fromBanks([&] { return std::int64_t{window}; }) !=
+                    window) {
+                    diverged_ = true;
+                    return {};
+                }
+                if (window) {
                     var = rowBatch_.end;
                     // A shared window: no split components — the
                     // motion and compute were charged to the opener.
@@ -992,9 +1196,9 @@ class Machine
         if constexpr (OBSERVE)
             split_.compute += beats;
         if constexpr (KIND == SamKind::Line) {
+            // The align moved the gap, not the target: row still holds.
             if (cfg_.rowParallelOps && cfg_.inMemoryOps) {
-                rowBatch_ = {true, inst.op, bankOf(inst.m0),
-                             b.positionOf(inst.m0).row,
+                rowBatch_ = {true, inst.op, bankOf(inst.m0), row,
                              start + motion, end};
             }
         }
@@ -1011,7 +1215,7 @@ class Machine
                 maxOf(var, slot, takeBarrier());
             const std::int64_t end = start + cfg_.lat.surgery;
             var = slot = end;
-            valReady_[static_cast<std::size_t>(inst.v0)] = end;
+            valueReady(inst.v0) = end;
             if constexpr (OBSERVE)
                 split_.surgery += cfg_.lat.surgery;
             return {start, end, 0};
@@ -1022,7 +1226,7 @@ class Machine
         // (e.g. the magic state PM is fetching) are ready. The memory
         // latency hides behind the magic-state wait.
         auto &scan = scanFree(inst.m0);
-        Bank &b = bank(inst.m0);
+        Bank *b = bank(inst.m0);
         const std::int64_t motion_start =
             maxOf(var, scan, takeBarrier());
         std::int64_t motion;
@@ -1042,7 +1246,7 @@ class Machine
                 scan = motion_start + motion;
             else
                 scan = end;
-            valReady_[static_cast<std::size_t>(inst.v0)] = end;
+            valueReady(inst.v0) = end;
             return {motion_start, end, motion};
         }
         motion = takeLoad(b, inst.m0);
@@ -1051,7 +1255,7 @@ class Machine
             std::max(motion_start + motion, slot);
         const std::int64_t end = surgery_start + cfg_.lat.surgery + st;
         var = slot = scan = end;
-        valReady_[static_cast<std::size_t>(inst.v0)] = end;
+        valueReady(inst.v0) = end;
         return {motion_start, end, motion + st};
     }
 
@@ -1083,7 +1287,7 @@ class Machine
         if (conv0 != conv1) {
             const std::int32_t q = conv0 ? inst.m1 : inst.m0;
             auto &scan = scanFree(q);
-            Bank &b = bank(q);
+            Bank *b = bank(q);
             const std::int64_t start =
                 maxOf(var0, var1, scan, takeBarrier());
             const std::int64_t motion =
@@ -1097,8 +1301,8 @@ class Machine
         // Both operands live in SAM.
         auto &scan0 = scanFree(inst.m0);
         auto &scan1 = scanFree(inst.m1);
-        Bank &bank0 = bank(inst.m0);
-        Bank &bank1 = bank(inst.m1);
+        Bank *bank0 = bank(inst.m0);
+        Bank *bank1 = bank(inst.m1);
         const bool same_bank = bankOf(inst.m0) == bankOf(inst.m1);
         const std::int64_t start =
             maxOf(var0, var1, scan0, scan1, takeBarrier());
@@ -1136,14 +1340,20 @@ class Machine
                 var0 = var1 = end;
                 return {start, end, motion};
             } else {
-                Bank &b = bank0;
-                if (cfg_.directSurgery &&
-                    b.canDirectSurgery(inst.m0, inst.m1)) {
+                Bank *b = bank0;
+                if (cfg_.directSurgery && fromBanks([&] {
+                        return std::int64_t{
+                            b->canDirectSurgery(inst.m0, inst.m1)};
+                    })) {
                     // Extension: lattice surgery straight between two
                     // data cells sharing a line; only the gap
                     // repositions.
-                    motion = b.directSurgeryCost(inst.m0, inst.m1);
-                    b.commitDirectSurgery(inst.m0, inst.m1);
+                    motion = fromBanks([&] {
+                        const std::int64_t c =
+                            b->directSurgeryCost(inst.m0, inst.m1);
+                        b->commitDirectSurgery(inst.m0, inst.m1);
+                        return c;
+                    });
                     if constexpr (OBSERVE)
                         split_.align += motion;
                     end = start + motion + surgery2;
@@ -1155,15 +1365,17 @@ class Machine
                     // line (Sec. V-B pairing). Each operand's load cost
                     // is computed once and reused for both the
                     // comparison and the commit path.
-                    const std::int64_t ld0 = b.loadCost(inst.m0);
-                    const std::int64_t ld1 = b.loadCost(inst.m1);
+                    const std::int64_t ld0 =
+                        fromBanks([&] { return b->loadCost(inst.m0); });
+                    const std::int64_t ld1 =
+                        fromBanks([&] { return b->loadCost(inst.m1); });
                     const bool load0 = ld0 <= ld1;
                     const std::int32_t loaded =
                         load0 ? inst.m0 : inst.m1;
                     const std::int32_t in_mem =
                         load0 ? inst.m1 : inst.m0;
                     const std::int64_t ld = load0 ? ld0 : ld1;
-                    b.commitLoad(loaded);
+                    commitBanks([&] { b->commitLoad(loaded); });
                     if constexpr (OBSERVE)
                         split_.load += ld;
                     const std::int64_t pos =
@@ -1216,7 +1428,9 @@ class Machine
     };
 
     std::vector<std::int64_t> varReady_;
-    std::vector<std::int64_t> valReady_;
+    std::shared_ptr<const ValueSlots> valueSlots_;
+    const std::int32_t *valueSlot_ = nullptr; ///< valueSlots_->slotOf
+    std::vector<std::int64_t> valReady_;      ///< per value slot
     std::vector<std::int64_t> slotReady_;
     std::vector<std::int64_t> scanFree_;
     std::int64_t barrier_ = 0;
@@ -1228,6 +1442,14 @@ class Machine
     std::int64_t pmExecuted_ = 0;
     /** Stall beats from magic sources retired by resetTimingEpoch(). */
     std::int64_t magicStallCarry_ = 0;
+
+    // Lane state. A leader records tape_; a follower replays *replay_
+    // from tapePos_, accounts into laneResult_ and stops once diverged_.
+    Tape tape_;
+    const Tape *replay_ = nullptr;
+    std::size_t tapePos_ = 0;
+    bool diverged_ = false;
+    SimResult laneResult_;
 
     // Telemetry state, touched only by the OBSERVE instantiation.
     LatencySplit split_;

@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <memory>
 #include <vector>
 
 #include "common/error.h"
@@ -20,6 +21,54 @@ runKind(const Program &program, const SimOptions &options,
         return detail::Machine<KIND, false>(program, options)
             .run(observers);
     return detail::Machine<KIND, true>(program, options).run(observers);
+}
+
+/** The leader walks the banks; every other lane follows its tape. */
+template <SamKind KIND>
+LaneResults
+runLanes(const Program &program, const std::vector<SimOptions> &lanes)
+{
+    using Leader = detail::Machine<KIND, false, detail::Lane::Lead>;
+    Leader leader(program, lanes.front());
+    std::vector<std::unique_ptr<typename Leader::Follower>> followers;
+    std::vector<typename Leader::Follower *> stepping;
+    for (std::size_t k = 1; k < lanes.size(); ++k) {
+        followers.push_back(std::make_unique<typename Leader::Follower>(
+            program, lanes[k], &leader.tape()));
+        stepping.push_back(followers.back().get());
+    }
+    LaneResults out;
+    out.results.push_back(leader.run({}, stepping));
+    for (std::size_t k = 1; k < lanes.size(); ++k) {
+        if (!followers[k - 1]->diverged()) {
+            out.results.push_back(followers[k - 1]->result());
+            continue;
+        }
+        out.results.push_back(simulate(program, lanes[k]));
+        ++out.fallbacks;
+    }
+    return out;
+}
+
+/** The part of @p arch the bank walk reads: MagicSource fields reset. */
+ArchConfig
+withoutMagicSupply(ArchConfig arch)
+{
+    const ArchConfig defaults;
+    arch.factories = defaults.factories;
+    arch.bufferCap = defaults.bufferCap;
+    arch.warmBuffer = defaults.warmBuffer;
+    arch.instantMagic = defaults.instantMagic;
+    arch.lat.msfPeriod = defaults.lat.msfPeriod;
+    arch.lat.magicTransfer = defaults.lat.magicTransfer;
+    return arch;
+}
+
+bool
+plainExact(const SimOptions &options)
+{
+    return options.observers.empty() && !options.recordTrace &&
+           !options.recordBreakdown && !options.estimator.sampled();
 }
 
 SimResult
@@ -99,6 +148,38 @@ simulate(const Program &program, const SimOptions &options)
         result.breakdown = breakdown_shim.rows();
     emitSimEnd(observers, result);
     return result;
+}
+
+bool
+sharesBankWalk(const SimOptions &a, const SimOptions &b)
+{
+    return plainExact(a) && plainExact(b) &&
+           a.maxInstructions == b.maxInstructions &&
+           withoutMagicSupply(a.arch) == withoutMagicSupply(b.arch);
+}
+
+LaneResults
+simulateLanes(const Program &program, const std::vector<SimOptions> &lanes)
+{
+    LaneResults out;
+    if (lanes.size() <= 1) {
+        for (const SimOptions &lane : lanes)
+            out.results.push_back(simulate(program, lane));
+        return out;
+    }
+    for (const SimOptions &lane : lanes)
+        LSQCA_REQUIRE(sharesBankWalk(lanes.front(), lane),
+                      "simulateLanes: lanes must differ only in magic "
+                      "supply");
+    switch (lanes.front().arch.sam) {
+      case SamKind::Point:
+        return runLanes<SamKind::Point>(program, lanes);
+      case SamKind::Line:
+        return runLanes<SamKind::Line>(program, lanes);
+      case SamKind::Conventional:
+        return runLanes<SamKind::Conventional>(program, lanes);
+    }
+    throw InternalError("unhandled SAM kind");
 }
 
 SimResult

@@ -20,6 +20,11 @@
  * Telemetry is pluggable (sim/observer.h, docs/OBSERVERS.md): the hot
  * loop emits typed events to the observers listed in SimOptions, and
  * compiles to the event-free fast path when none are attached.
+ *
+ * Jobs that differ only in magic-state supply run as lanes of one bank
+ * walk (simulateLanes()): bank costs depend on the instruction stream
+ * alone, so one leader walks the banks and every lane keeps its own
+ * timelines. Results are exactly those of simulate() per lane.
  */
 
 #include <vector>
@@ -79,6 +84,37 @@ struct SimOptions
  * identical results (and identical observer event streams).
  */
 SimResult simulate(const Program &program, const SimOptions &options);
+
+/**
+ * Whether @p a and @p b can run as lanes of one bank walk: both are
+ * plain exact runs (no observers, recordTrace, recordBreakdown or
+ * sampled estimator), equal in every other field except the
+ * MagicSource ones: arch.factories, bufferCap, warmBuffer,
+ * instantMagic, lat.msfPeriod and lat.magicTransfer.
+ */
+bool sharesBankWalk(const SimOptions &a, const SimOptions &b);
+
+/** Outcome of simulateLanes(). */
+struct LaneResults
+{
+    /** One result per lane, in lane order. */
+    std::vector<SimResult> results;
+    /** Lanes whose row-parallel window vote disagreed with the
+     *  leader's; each was re-simulated alone after the shared walk. */
+    std::int32_t fallbacks = 0;
+};
+
+/**
+ * simulate() for every entry of @p lanes over one shared bank walk;
+ * each result equals simulate(program, lanes[k]) bit for bit. The
+ * first lane leads: its row-parallel window decisions drive the banks
+ * (sim/machine.h, "Lanes"). One lane is simulate() itself.
+ *
+ * @throws ConfigError unless every lane sharesBankWalk() with the
+ *         first, or there is only one lane.
+ */
+LaneResults simulateLanes(const Program &program,
+                          const std::vector<SimOptions> &lanes);
 
 /**
  * Options for the conventional 1/2-density baseline of Sec. VI-A

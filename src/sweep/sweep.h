@@ -9,7 +9,17 @@
  * points; each simulate() call is independent, so the engine fans a job
  * vector across its own worker threads and collects results *in
  * submission order* — a parallel sweep is bit-identical to the serial
- * loop it replaces, regardless of worker count. A JSON report
+ * loop it replaces, regardless of worker count.
+ *
+ * Jobs over one program that differ only in magic-state supply (the
+ * paper's 1/2/4-factory points) form one work item and run as lanes of
+ * one bank walk (simulateLanes(), sharesBankWalk()). The line-SAM
+ * row-parallel window is the one bank decision that reads timing, so
+ * it is the lane vote: a lane that disagrees with the leader is
+ * re-simulated alone, and every result stays exactly simulate()'s.
+ * Observed, trace, breakdown and sampled jobs never group, and a group
+ * that alone would outlast an even share of the sweep runs as
+ * separate jobs. Work items start largest first. A JSON report
  * (`bench/out/BENCH_<name>.json`) records per-job metrics plus
  * wall-clock so regressions are machine-checkable (tools/bench_diff.py).
  */
@@ -39,7 +49,7 @@ struct SweepJob
 struct SweepReport
 {
     std::vector<SimResult> results;  ///< submission order
-    std::vector<double> jobSeconds;  ///< per-job wall time
+    std::vector<double> jobSeconds;  ///< per-job share of group wall
     double wallSeconds = 0.0;        ///< whole-sweep wall time
     std::int32_t threads = 1;        ///< configured worker count
 };
@@ -51,7 +61,7 @@ struct SweepOptions
     std::int32_t threads = 0;
     /**
      * Optional observability registry (must outlive the run call).
-     * When attached, each run() accounts `sweep.jobs`,
+     * When attached, each run() accounts `sweep.jobs`, `sweep.groups`,
      * `sweep.job_wall_seconds`, `sweep.queue_wait_seconds`,
      * per-worker `sweep.worker.<w>.busy_seconds` gauges, and
      * `sweep.wall_seconds` (docs/METRICS.md). Detached (the default),
@@ -69,10 +79,11 @@ class SweepEngine
 
     /**
      * Run every job and return results in submission order. Starts
-     * min(threads, jobs) threads, or runs on the calling thread when
+     * min(threads, groups) threads, or runs on the calling thread when
      * that is at most one. A throwing job stops its worker; once every
      * worker has joined, the first worker's exception (in worker
-     * order) is rethrown.
+     * order) is rethrown. A job's jobSeconds is its group's wall time
+     * divided by the group's size.
      */
     SweepReport run(const std::vector<SweepJob> &jobs) const;
 

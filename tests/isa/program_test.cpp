@@ -144,7 +144,6 @@ scanExtent(const Program &p, std::int64_t limit)
         const Instruction &inst =
             p.instructions()[static_cast<std::size_t>(i)];
         extent.maxSlot = std::max({extent.maxSlot, inst.c0, inst.c1});
-        extent.maxValue = std::max(extent.maxValue, inst.v0);
     }
     return extent;
 }
@@ -194,13 +193,10 @@ TEST(Program, PrefixExtentMatchesBruteForceAtEveryLimit)
         for (int repeat = 0; repeat < 2; ++repeat) { // miss, then memo
             const PrefixExtent got = p.prefixExtent(limit);
             EXPECT_EQ(got.maxSlot, want.maxSlot) << "limit " << limit;
-            EXPECT_EQ(got.maxValue, want.maxValue) << "limit " << limit;
         }
     }
     EXPECT_EQ(p.prefixExtent(0).maxSlot, -1);
-    EXPECT_EQ(p.prefixExtent(0).maxValue, -1);
     EXPECT_EQ(p.prefixExtent(p.size()).maxSlot, 6);
-    EXPECT_EQ(p.prefixExtent(p.size()).maxValue, 5);
     // Limits past the end clamp to the whole program.
     EXPECT_EQ(p.prefixExtent(p.size() + 100).maxSlot, 6);
 }
@@ -218,6 +214,127 @@ TEST(Program, AppendInvalidatesPrefixExtent)
     EXPECT_EQ(p.prefixExtent(before).maxSlot, 6);
     const Program copy = p;
     EXPECT_EQ(copy.prefixExtent(copy.size()).maxSlot, 9);
+}
+
+/** A random stream of value writes (MZ.C, MZ.M) and reads (SK). */
+Program
+randomValueProgram(std::uint32_t seed)
+{
+    std::uint32_t state = seed * 2654435761u + 1;
+    const auto next = [&state](std::uint32_t bound) {
+        state = state * 1664525u + 1013904223u;
+        return static_cast<std::int32_t>((state >> 8) % bound);
+    };
+    Program p(2);
+    const std::int32_t values = 1 + next(12);
+    for (std::int32_t v = 0; v < values; ++v)
+        p.newValue();
+    for (int i = 0; i < 40; ++i) {
+        Instruction inst;
+        switch (next(3)) {
+          case 0:
+            inst.op = Opcode::MZ_C;
+            inst.c0 = 0;
+            break;
+          case 1:
+            inst.op = Opcode::MZ_M;
+            inst.m0 = next(2);
+            break;
+          default:
+            inst.op = Opcode::SK;
+            break;
+        }
+        inst.v0 = next(static_cast<std::uint32_t>(values));
+        p.append(inst);
+    }
+    return p;
+}
+
+TEST(Program, ValueSlotsKeepEveryValueApartWhileItIsInUse)
+{
+    for (std::uint32_t seed = 0; seed < 200; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const Program p = randomValueProgram(seed);
+        const auto slots = p.prefixExtent(p.size()).values;
+        ASSERT_LE(slots->slotOf.size(),
+                  static_cast<std::size_t>(p.numValues()));
+        // Each value's span: first to last instruction naming it.
+        const auto n = static_cast<std::size_t>(p.numValues());
+        std::vector<std::int64_t> first(n, -1), last(n, -1);
+        std::vector<bool> readFirst(n, false);
+        for (std::int64_t i = 0; i < p.size(); ++i) {
+            const Instruction &inst =
+                p.instructions()[static_cast<std::size_t>(i)];
+            const auto v = static_cast<std::size_t>(inst.v0);
+            if (first[v] < 0) {
+                first[v] = i;
+                readFirst[v] = inst.op == Opcode::SK;
+            }
+            last[v] = i;
+        }
+        for (std::size_t a = 0; a < n; ++a) {
+            if (first[a] < 0)
+                continue;
+            ASSERT_LT(a, slots->slotOf.size());
+            const std::int32_t slot = slots->slotOf[a];
+            ASSERT_GE(slot, 0);
+            ASSERT_LT(slot, slots->count);
+            for (std::size_t b = 0; b < n; ++b) {
+                if (a == b || first[b] < 0 || slots->slotOf[b] != slot)
+                    continue;
+                // Overlapping spans never share a slot.
+                EXPECT_TRUE(last[a] < first[b] || last[b] < first[a])
+                    << "values " << a << " and " << b;
+                // A value first named by a read gets a slot no earlier
+                // value used, so it reads 0.
+                if (readFirst[a])
+                    EXPECT_GT(first[b], first[a])
+                        << "values " << a << " and " << b;
+            }
+        }
+    }
+}
+
+TEST(Program, ValueSlotsReuseSlotsOnceAValueIsDone)
+{
+    // v0..v3 are each written and then read before the next is
+    // written: one slot serves them all. v4 is read before any write:
+    // it needs a slot of its own.
+    Program p(1);
+    for (int v = 0; v < 5; ++v)
+        p.newValue();
+    for (std::int32_t v = 0; v < 4; ++v) {
+        Instruction mz;
+        mz.op = Opcode::MZ_C;
+        mz.c0 = 0;
+        mz.v0 = v;
+        p.append(mz);
+        Instruction sk;
+        sk.op = Opcode::SK;
+        sk.v0 = v;
+        p.append(sk);
+    }
+    Instruction sk;
+    sk.op = Opcode::SK;
+    sk.v0 = 4;
+    p.append(sk);
+    const auto slots = p.prefixExtent(p.size()).values;
+    EXPECT_EQ(slots->count, 2);
+    EXPECT_EQ(slots->slotOf, (std::vector<std::int32_t>{0, 0, 0, 0, 1}));
+    EXPECT_EQ(p.prefixExtent(p.size()).values, slots); // memoized
+    // A shorter prefix names fewer values and needs one slot.
+    EXPECT_EQ(p.prefixExtent(4).values->count, 1);
+    EXPECT_EQ(p.prefixExtent(4).values->slotOf.size(), 2u);
+
+    // Appending drops the memo: v0 named again extends its span over
+    // v4's read, so the two can no longer share a slot.
+    Instruction again;
+    again.op = Opcode::SK;
+    again.v0 = 0;
+    p.append(again);
+    const auto after = p.prefixExtent(p.size()).values;
+    EXPECT_NE(after, slots);
+    EXPECT_NE(after->slotOf[0], after->slotOf[4]);
 }
 
 TEST(Program, DisassemblyFormat)

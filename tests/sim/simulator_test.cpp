@@ -4,6 +4,7 @@
 
 #include "circuit/lowering.h"
 #include "common/error.h"
+#include "isa/assembler.h"
 #include "synth/benchmarks.h"
 #include "translate/translate.h"
 
@@ -178,6 +179,25 @@ TEST(Simulator, BarrierOnlyAppliesOnce)
     const SimResult r = simulate(p, opts);
     // exec = max(10+2 for gated PH, 3 for free H) = 12.
     EXPECT_EQ(r.execBeats, 12);
+}
+
+TEST(Simulator, ValueReadBeforeItsWriteSeesZero)
+{
+    // Value ready times live in shared slots (ValueSlots, program.h).
+    // v0 is ready at beat 9 and done once SK v0 reads it; v1 is never
+    // written, so SK v1 must read 0 and leave no barrier, whatever
+    // slot v0 used. Reading v0's 9 would delay both HD.M m0 to 15.
+    const Program p = assemble("; lsqca program: 1 variables\n"
+                               "HD.C c0\n"
+                               "HD.C c0\n"
+                               "HD.C c0\n"
+                               "MZ.C c0 -> v0\n"
+                               "SK v0\n"
+                               "HD.C c1\n"
+                               "SK v1\n"
+                               "HD.M m0\n"
+                               "HD.M m0\n");
+    EXPECT_EQ(simulateConventional(p).execBeats, 12);
 }
 
 TEST(Simulator, CxBetweenConventionalQubitsIsTwoBeats)

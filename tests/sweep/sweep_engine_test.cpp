@@ -3,11 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <numeric>
+#include <sstream>
 #include <thread>
 
+#include "api/paper_specs.h"
+#include "api/registry.h"
+#include "api/spec.h"
 #include "circuit/lowering.h"
 #include "common/error.h"
+#include "sim/collectors/jsonl_writer.h"
 #include "synth/benchmarks.h"
 #include "translate/translate.h"
 
@@ -47,6 +54,21 @@ pointJobs(const Program &program, std::size_t n)
     job.program = &program;
     job.options.arch.sam = SamKind::Point;
     return std::vector<SweepJob>(n, job);
+}
+
+/**
+ * pointJobs() with a distinct maxInstructions per job: no two share a
+ * bank walk, so each job is its own work item. The limits fall with
+ * the submission index, so largest-first scheduling keeps submission
+ * order.
+ */
+std::vector<SweepJob>
+separatePointJobs(const Program &program, std::size_t n)
+{
+    std::vector<SweepJob> jobs = pointJobs(program, n);
+    for (std::size_t k = 0; k < n; ++k)
+        jobs[k].options.maxInstructions = static_cast<std::int64_t>(n - k);
+    return jobs;
 }
 
 std::string
@@ -163,7 +185,7 @@ TEST(SweepEngine, HealthyWorkersDrainTheRestAfterAFailure)
     // healthy workers still finish every other job before run()
     // rethrows.
     const Program program = translate(lowerToCliffordT(makeGhz(4)));
-    std::vector<SweepJob> jobs = pointJobs(program, 12);
+    std::vector<SweepJob> jobs = separatePointJobs(program, 12);
     jobs[5].options.arch.banks = 3; // invalid for point SAM
     for (const std::int32_t threads : {1, 4, 8}) {
         SCOPED_TRACE(std::to_string(threads) + " threads");
@@ -240,7 +262,7 @@ TEST(SweepEngine, StartsAtMostOneWorkerPerJob)
     const Program program = translate(lowerToCliffordT(makeGhz(4)));
     metrics::Registry registry;
     const SweepReport report =
-        SweepEngine({8, &registry}).run(pointJobs(program, 3));
+        SweepEngine({8, &registry}).run(separatePointJobs(program, 3));
     EXPECT_EQ(report.threads, 8);
     const Json snapshot = registry.toJson();
     for (std::size_t w = 1; w <= 3; ++w)
@@ -252,7 +274,7 @@ TEST(SweepEngine, WorkerBusyTimeAddsUpToJobTime)
 {
     // Each job's wall time is charged to exactly one worker.
     const Program program = translate(lowerToCliffordT(makeAdder(8)));
-    const auto jobs = pointJobs(program, 12);
+    const auto jobs = separatePointJobs(program, 12);
     for (const std::int32_t threads : {1, 4}) {
         SCOPED_TRACE(std::to_string(threads) + " threads");
         metrics::Registry registry;
@@ -283,6 +305,194 @@ TEST(SweepEngine, ZeroThreadsMeansHardwareConcurrency)
     ASSERT_EQ(report.results.size(), 2u);
     for (const SimResult &result : report.results)
         expectIdentical(result, simulate(program, jobs[0].options));
+}
+
+/** Every job of builtin spec @p name, programs owned by @p registry. */
+std::vector<SweepJob>
+paperJobs(const std::string &name, api::BenchmarkRegistry &registry)
+{
+    std::vector<SweepJob> jobs;
+    for (const api::ExpandedJob &expanded :
+         api::expandSpec(api::specs::byName(name), registry)) {
+        SweepJob job;
+        job.name = expanded.name;
+        job.program = &registry.program(expanded.bench, expanded.params,
+                                        expanded.translate);
+        job.options = expanded.options;
+        jobs.push_back(std::move(job));
+    }
+    return jobs;
+}
+
+TEST(SweepEngine, LaneGroupsEqualPerJobSimulateOnPaperSweeps)
+{
+    // The paper sweeps run each (program, machine) point at several
+    // factory counts: those jobs share one bank walk as lanes, and
+    // every result still equals a solo simulate() of its job.
+    const std::map<std::string, std::int64_t> groups = {
+        {"fig14", 595}, {"ablation", 51}};
+    api::BenchmarkRegistry registry = api::BenchmarkRegistry::paper();
+    for (const char *name : {"fig13", "fig14", "fig15", "ablation", "smoke"}) {
+        const std::vector<SweepJob> jobs = paperJobs(name, registry);
+        std::vector<SimResult> solo;
+        for (const SweepJob &job : jobs)
+            solo.push_back(simulate(*job.program, job.options));
+        for (const std::int32_t threads : {1, 4}) {
+            SCOPED_TRACE(std::string(name) + ", " +
+                         std::to_string(threads) + " threads");
+            metrics::Registry metrics;
+            const SweepReport report =
+                SweepEngine({threads, &metrics}).run(jobs);
+            ASSERT_EQ(report.results.size(), jobs.size());
+            for (std::size_t i = 0; i < jobs.size(); ++i) {
+                SCOPED_TRACE(jobs[i].name);
+                expectIdentical(report.results[i], solo[i]);
+            }
+            EXPECT_EQ(metrics.counter("sweep.jobs").value(),
+                      static_cast<std::int64_t>(jobs.size()));
+            EXPECT_LT(metrics.counter("sweep.groups").value(),
+                      static_cast<std::int64_t>(jobs.size()));
+            if (groups.contains(name))
+                EXPECT_EQ(metrics.counter("sweep.groups").value(),
+                          groups.at(name));
+        }
+    }
+}
+
+TEST(SweepEngine, JobsApartOutsideMagicSupplyNeverShareAGroup)
+{
+    // Six machines at two factory counts each: the factory twins
+    // share a walk, no two machines do.
+    const Program program = translate(lowerToCliffordT(makeAdder(8)));
+    SweepJob base;
+    base.name = "base";
+    base.program = &program;
+    base.options.arch.sam = SamKind::Line;
+    std::vector<SweepJob> machines(6, base);
+    machines[1].options.arch.hybridFraction = 0.25;
+    machines[2].options.maxInstructions = 100;
+    machines[3].options.arch.placement = PlacementPolicy::Interleaved;
+    machines[4].options.arch.rowParallelOps = false;
+    machines[5].options.arch.lat.move = 2;
+    std::vector<SweepJob> jobs;
+    for (const std::int32_t factories : {1, 2}) {
+        for (SweepJob job : machines) {
+            job.options.arch.factories = factories;
+            jobs.push_back(job);
+        }
+    }
+    metrics::Registry metrics;
+    const SweepReport report = SweepEngine({2, &metrics}).run(jobs);
+    EXPECT_EQ(metrics.counter("sweep.groups").value(), 6);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        expectIdentical(report.results[i],
+                        simulate(*jobs[i].program, jobs[i].options));
+}
+
+TEST(SweepEngine, ObservedTracedAndSampledJobsRunAlone)
+{
+    const Program program = translate(lowerToCliffordT(makeAdder(8)));
+    SweepJob plain;
+    plain.name = "plain";
+    plain.program = &program;
+    plain.options.arch.sam = SamKind::Point;
+    std::ostringstream swept;
+    collectors::JsonlWriter sweptWriter(swept);
+    std::vector<SweepJob> jobs(6, plain);
+    jobs[1].options.observers.push_back(&sweptWriter);
+    jobs[2].options.recordTrace = true;
+    jobs[3].options.recordBreakdown = true;
+    jobs[4].options.estimator.mode = estimate::EstimatorMode::Sampled;
+    for (std::size_t i = 1; i < jobs.size(); ++i)
+        jobs[i].options.arch.factories = 2;
+
+    metrics::Registry metrics;
+    const SweepReport report = SweepEngine({1, &metrics}).run(jobs);
+    // Only the two plain jobs share a walk.
+    EXPECT_EQ(metrics.counter("sweep.groups").value(), 5);
+
+    // The observer saw the whole event stream a solo run emits.
+    std::ostringstream alone;
+    collectors::JsonlWriter aloneWriter(alone);
+    SimOptions observed = jobs[1].options;
+    observed.observers = {&aloneWriter};
+    const SimResult solo = simulate(program, observed);
+    EXPECT_FALSE(swept.str().empty());
+    EXPECT_EQ(swept.str(), alone.str());
+    expectIdentical(report.results[1], solo);
+
+    const SimResult traced = simulate(program, jobs[2].options);
+    EXPECT_FALSE(report.results[2].trace.empty());
+    EXPECT_EQ(report.results[2].trace.size(), traced.trace.size());
+    EXPECT_EQ(report.results[2].magicTimes, traced.magicTimes);
+    EXPECT_EQ(report.results[3].breakdown,
+              simulate(program, jobs[3].options).breakdown);
+    EXPECT_FALSE(report.results[3].breakdown.empty());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        expectIdentical(report.results[i],
+                        simulate(*jobs[i].program, jobs[i].options));
+}
+
+TEST(SweepEngine, GroupsLongerThanAnEvenShareRunAsSeparateJobs)
+{
+    // Two jobs that share a walk: one worker runs them as one group;
+    // two workers run them side by side, since the group alone would
+    // hold one worker for the whole sweep.
+    const Program program = translate(lowerToCliffordT(makeAdder(8)));
+    std::vector<SweepJob> jobs = pointJobs(program, 2);
+    jobs[1].options.arch.factories = 2;
+    for (const auto &[threads, groups] :
+         {std::pair{1, 1}, std::pair{2, 2}}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        metrics::Registry metrics;
+        const SweepReport report =
+            SweepEngine({threads, &metrics}).run(jobs);
+        EXPECT_EQ(metrics.counter("sweep.groups").value(), groups);
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            expectIdentical(report.results[i],
+                            simulate(*jobs[i].program, jobs[i].options));
+    }
+}
+
+/** Records the order in which its jobs began. */
+class StartOrder final : public SimObserver
+{
+  public:
+    StartOrder(std::vector<std::int64_t> &log, std::int64_t id)
+        : log_(log), id_(id)
+    {
+    }
+
+    void
+    onSimBegin(const SimBeginEvent &) override
+    {
+        log_.push_back(id_);
+    }
+
+  private:
+    std::vector<std::int64_t> &log_;
+    std::int64_t id_;
+};
+
+TEST(SweepEngine, LargestWorkItemsStartFirst)
+{
+    // Work items run by the instructions they simulate, largest first,
+    // so a long one never starts last; results keep submission order.
+    const Program program = translate(lowerToCliffordT(makeAdder(8)));
+    const std::vector<std::int64_t> limits = {50, 150, 100};
+    std::vector<std::int64_t> started;
+    std::vector<std::unique_ptr<StartOrder>> observers;
+    std::vector<SweepJob> jobs = pointJobs(program, limits.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        jobs[i].options.maxInstructions = limits[i];
+        observers.push_back(
+            std::make_unique<StartOrder>(started, limits[i]));
+        jobs[i].options.observers.push_back(observers.back().get());
+    }
+    const SweepReport report = SweepEngine({1}).run(jobs);
+    EXPECT_EQ(started, (std::vector<std::int64_t>{150, 100, 50}));
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(report.results[i].instructionsSimulated, limits[i]);
 }
 
 TEST(SweepEngine, RejectsNullProgram)
