@@ -51,13 +51,16 @@ struct StreamIndex
 };
 
 /**
- * Where the simulator keeps each classical value's ready time. Values
- * whose access spans (first to last instruction naming them) overlap
- * never share a slot, and a value first named by a read (SK) gets a
- * slot no earlier value used, so it reads 0 until written. Translated
- * programs write each value once, shortly before the SK that reads
- * it, so a few slots serve a million values and every simulated lane
- * keeps a few ready times instead of one per value.
+ * Where lanes of a shared bank walk (simulateLanes()) keep each
+ * classical value's ready time. Values whose access spans (first to
+ * last instruction naming them) overlap never share a slot, and a
+ * value first named by a read (SK, the only opcode that reads its
+ * value; every other one writes it) gets a slot no earlier value used,
+ * so it reads 0 until written. Translated programs write each value
+ * once, shortly before the SK that reads it, so a few slots serve a
+ * million values and each lane keeps a few ready times instead of one
+ * per value. A solo simulate() indexes by value id and only sizes its
+ * table from slotOf.
  */
 struct ValueSlots
 {

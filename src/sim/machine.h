@@ -37,7 +37,7 @@
  * sampled estimator covers this approximation statistically (see
  * docs/SAMPLING.md).
  *
- * Lanes. Jobs that differ only in magic-state supply walk the same
+ * Lanes. SAM jobs that differ only in magic-state supply walk the same
  * banks: every load/store/seek/align/fetch cost depends on the
  * instruction stream alone. So one machine, the leader (Lane::Lead),
  * owns the banks and records every bank-derived value on a Tape;
@@ -48,7 +48,9 @@
  * lane evaluates it, the leader's vote drives the banks, and a
  * follower that votes otherwise marks itself diverged() and stops;
  * its runner re-simulates it alone (simulateLanes()). A solo machine
- * (Lane::Solo: simulate(), the estimator) records nothing.
+ * (Lane::Solo: simulate(), the estimator) records nothing, and its
+ * exec paths compile to the plain bank calls and per-value ready times
+ * of a simulator without lanes (replayed(), valueReady()).
  *
  * This header is internal: nothing outside src/sim, src/estimate, the
  * test tree, and the micro-kernel bench should include it.
@@ -166,15 +168,19 @@ class Machine
         // whole program. Program::prefixExtent() memoizes the extent
         // per limit, so only the first job at each prefix scans the
         // stream — an O(program) scan per Machine dominated the fig14
-        // sweeps. Value ready times live in value slots, not one per
-        // value id: a few int64s per lane instead of 8 B per value.
-        // The sampled estimator's StreamIndex (16+ B per instruction)
-        // is deliberately not consulted here.
+        // sweeps. A solo machine keeps one value ready time per value
+        // id the prefix names; lanes, which run several machines at
+        // once, keep one per value slot (valueReady()). The sampled
+        // estimator's StreamIndex (16+ B per instruction) is
+        // deliberately not consulted here.
         const PrefixExtent extent = prog.prefixExtent(instructionLimit());
         varReady_.assign(static_cast<std::size_t>(prog.numVariables()), 0);
         valueSlots_ = extent.values;
         valueSlot_ = valueSlots_->slotOf.data();
-        valReady_.assign(static_cast<std::size_t>(valueSlots_->count), 0);
+        valReady_.assign(LANE == Lane::Solo
+                             ? valueSlots_->slotOf.size()
+                             : static_cast<std::size_t>(valueSlots_->count),
+                         0);
         const std::int32_t max_slot =
             std::max<std::int32_t>(1, extent.maxSlot);
         slotReady_.assign(static_cast<std::size_t>(max_slot) + 1, 0);
@@ -250,7 +256,8 @@ class Machine
         }
         if constexpr (OBSERVE)
             endObservation();
-        return finish(std::move(result));
+        finish(result);
+        return result;
     }
 
     // ---- follower lanes --------------------------------------------------
@@ -288,7 +295,9 @@ class Machine
     {
         static_assert(LANE == Lane::Follow, "a leader's comes from run()");
         LSQCA_ASSERT(!diverged_, "a diverged lane has no result");
-        return finish(std::move(laneResult_));
+        SimResult result = std::move(laneResult_);
+        finish(result);
+        return result;
     }
 
     /** The tape a follower of this machine replays. */
@@ -504,8 +513,8 @@ class Machine
     }
 
     /** Complete an accounted result once the last instruction ran. */
-    SimResult
-    finish(SimResult result) const
+    void
+    finish(SimResult &result) const
     {
         result.floorplan = floorplan();
         result.instructionsSimulated = instructionLimit();
@@ -516,7 +525,6 @@ class Machine
                                    result.countedInstructions);
         result.magicConsumed = magic_.consumed();
         result.magicStallBeats = magic_.stallBeats();
-        return result;
     }
 
     // ---- telemetry -----------------------------------------------------
@@ -744,32 +752,31 @@ class Machine
             return banks_[static_cast<std::size_t>(bankOf(m))].get();
     }
 
-    /**
-     * A value read from bank state, with any commit that goes with it:
-     * a machine with banks runs @p derive against them (a leader also
-     * records the value on its tape); a follower replays the leader's.
-     */
-    template <typename Derive>
-    std::int64_t
-    fromBanks(Derive &&derive)
+    // Bank-derived values on lanes: a follower owns no banks and takes
+    // its leader's value (replayed() is true); any other machine
+    // derives the value from its banks, commits, and passes it through
+    // recorded(), which a leader appends to its tape. On a solo
+    // machine both are constants, so its exec paths compile to plain
+    // bank calls.
+
+    /** On a follower, @p value := its leader's next taped value. */
+    bool
+    replayed(std::int64_t &value)
     {
         if constexpr (LANE == Lane::Follow) {
-            return (*replay_)[tapePos_++];
-        } else {
-            const std::int64_t value = derive();
-            if constexpr (LANE == Lane::Lead)
-                tape_.push_back(value);
-            return value;
+            value = (*replay_)[tapePos_++];
+            return true;
         }
+        return false;
     }
 
-    /** A bank commit with no value of its own; followers skip it. */
-    template <typename Commit>
-    void
-    commitBanks(Commit &&commit)
+    /** @p value, which a leader also appends to its tape. */
+    std::int64_t
+    recorded(std::int64_t value)
     {
-        if constexpr (LANE != Lane::Follow)
-            commit();
+        if constexpr (LANE == Lane::Lead)
+            tape_.push_back(value);
+        return value;
     }
 
     // Cost-then-commit pairs against a caller-resolved bank: each exec
@@ -783,11 +790,11 @@ class Machine
     std::int64_t
     takeLoad(Bank *b, std::int32_t m)
     {
-        const std::int64_t cost = fromBanks([&] {
-            const std::int64_t c = b->loadCost(m);
+        std::int64_t cost = 0;
+        if (!replayed(cost)) {
+            cost = recorded(b->loadCost(m));
             b->commitLoad(m);
-            return c;
-        });
+        }
         if constexpr (OBSERVE)
             split_.load += cost;
         return cost;
@@ -796,11 +803,11 @@ class Machine
     std::int64_t
     takeStore(Bank *b, std::int32_t m)
     {
-        const std::int64_t cost = fromBanks([&] {
-            const std::int64_t c = b->storeCost(m, cfg_.localityStore);
+        std::int64_t cost = 0;
+        if (!replayed(cost)) {
+            cost = recorded(b->storeCost(m, cfg_.localityStore));
             b->commitStore(m, cfg_.localityStore);
-            return c;
-        });
+        }
         if constexpr (OBSERVE)
             split_.store += cost;
         return cost;
@@ -821,20 +828,20 @@ class Machine
     takeInMem1q(Bank *b, std::int32_t m)
     {
         if constexpr (KIND == SamKind::Line) {
-            const std::int64_t cost = fromBanks([&] {
-                const std::int64_t c = b->alignCost(m);
+            std::int64_t cost = 0;
+            if (!replayed(cost)) {
+                cost = recorded(b->alignCost(m));
                 b->commitAlign(m);
-                return c;
-            });
+            }
             if constexpr (OBSERVE)
                 split_.align += cost;
             return cost;
         } else {
-            const std::int64_t cost = fromBanks([&] {
-                const std::int64_t c = b->seekCost(m);
+            std::int64_t cost = 0;
+            if (!replayed(cost)) {
+                cost = recorded(b->seekCost(m));
                 b->commitSeek(m);
-                return c;
-            });
+            }
             if constexpr (OBSERVE)
                 split_.seek += cost;
             return cost;
@@ -846,20 +853,20 @@ class Machine
     takeInMem2q(Bank *b, std::int32_t m)
     {
         if constexpr (KIND == SamKind::Line) {
-            const std::int64_t cost = fromBanks([&] {
-                const std::int64_t c = b->alignCost(m);
+            std::int64_t cost = 0;
+            if (!replayed(cost)) {
+                cost = recorded(b->alignCost(m));
                 b->commitAlign(m);
-                return c;
-            });
+            }
             if constexpr (OBSERVE)
                 split_.align += cost;
             return cost;
         } else {
-            const std::int64_t cost = fromBanks([&] {
-                const std::int64_t c = b->fetchToPortCost(m);
+            std::int64_t cost = 0;
+            if (!replayed(cost)) {
+                cost = recorded(b->fetchToPortCost(m));
                 b->commitFetchToPort(m);
-                return c;
-            });
+            }
             if constexpr (OBSERVE)
                 split_.pick += cost;
             return cost;
@@ -964,12 +971,20 @@ class Machine
         return b;
     }
 
-    /** Ready time of classical value @p v, kept in its value slot. */
+    /**
+     * Ready time of classical value @p v. Lanes keep it in the value's
+     * slot (ValueSlots), a few int64s per lane instead of 8 B per
+     * value; a solo machine indexes by value id and so skips the
+     * dependent slot load on every MX/MZ/SK.
+     */
     std::int64_t &
     valueReady(std::int32_t v)
     {
-        return valReady_[static_cast<std::size_t>(
-            valueSlot_[static_cast<std::size_t>(v)])];
+        const auto id = static_cast<std::size_t>(v);
+        if constexpr (LANE == Lane::Solo)
+            return valReady_[id];
+        else
+            return valReady_[static_cast<std::size_t>(valueSlot_[id])];
     }
 
     std::int64_t &
@@ -1166,15 +1181,19 @@ class Machine
         std::int32_t row = -1;
         if constexpr (KIND == SamKind::Line) {
             if (cfg_.rowParallelOps && cfg_.inMemoryOps) {
-                row = static_cast<std::int32_t>(fromBanks(
-                    [&] { return b->positionOf(inst.m0).row; }));
+                std::int64_t at = 0;
+                if (!replayed(at))
+                    at = recorded(b->positionOf(inst.m0).row);
+                row = static_cast<std::int32_t>(at);
                 const bool window =
                     barrier_ == 0 && rowBatch_.valid &&
                     rowBatch_.op == inst.op &&
                     rowBatch_.bank == bankOf(inst.m0) &&
                     row == rowBatch_.row && var <= rowBatch_.start;
-                if (fromBanks([&] { return std::int64_t{window}; }) !=
-                    window) {
+                std::int64_t vote = 0;
+                if (!replayed(vote))
+                    vote = recorded(window);
+                if (vote != window) {
                     diverged_ = true;
                     return {};
                 }
@@ -1341,19 +1360,18 @@ class Machine
                 return {start, end, motion};
             } else {
                 Bank *b = bank0;
-                if (cfg_.directSurgery && fromBanks([&] {
-                        return std::int64_t{
-                            b->canDirectSurgery(inst.m0, inst.m1)};
-                    })) {
+                std::int64_t direct = 0;
+                if (cfg_.directSurgery && !replayed(direct))
+                    direct = recorded(b->canDirectSurgery(inst.m0, inst.m1));
+                if (direct) {
                     // Extension: lattice surgery straight between two
                     // data cells sharing a line; only the gap
                     // repositions.
-                    motion = fromBanks([&] {
-                        const std::int64_t c =
-                            b->directSurgeryCost(inst.m0, inst.m1);
+                    if (!replayed(motion)) {
+                        motion = recorded(
+                            b->directSurgeryCost(inst.m0, inst.m1));
                         b->commitDirectSurgery(inst.m0, inst.m1);
-                        return c;
-                    });
+                    }
                     if constexpr (OBSERVE)
                         split_.align += motion;
                     end = start + motion + surgery2;
@@ -1365,17 +1383,20 @@ class Machine
                     // line (Sec. V-B pairing). Each operand's load cost
                     // is computed once and reused for both the
                     // comparison and the commit path.
-                    const std::int64_t ld0 =
-                        fromBanks([&] { return b->loadCost(inst.m0); });
-                    const std::int64_t ld1 =
-                        fromBanks([&] { return b->loadCost(inst.m1); });
+                    std::int64_t ld0 = 0;
+                    std::int64_t ld1 = 0;
+                    if (!replayed(ld0))
+                        ld0 = recorded(b->loadCost(inst.m0));
+                    if (!replayed(ld1))
+                        ld1 = recorded(b->loadCost(inst.m1));
                     const bool load0 = ld0 <= ld1;
                     const std::int32_t loaded =
                         load0 ? inst.m0 : inst.m1;
                     const std::int32_t in_mem =
                         load0 ? inst.m1 : inst.m0;
                     const std::int64_t ld = load0 ? ld0 : ld1;
-                    commitBanks([&] { b->commitLoad(loaded); });
+                    if constexpr (LANE != Lane::Follow)
+                        b->commitLoad(loaded); // a follower owns no banks
                     if constexpr (OBSERVE)
                         split_.load += ld;
                     const std::int64_t pos =
@@ -1430,7 +1451,7 @@ class Machine
     std::vector<std::int64_t> varReady_;
     std::shared_ptr<const ValueSlots> valueSlots_;
     const std::int32_t *valueSlot_ = nullptr; ///< valueSlots_->slotOf
-    std::vector<std::int64_t> valReady_;      ///< per value slot
+    std::vector<std::int64_t> valReady_;      ///< see valueReady()
     std::vector<std::int64_t> slotReady_;
     std::vector<std::int64_t> scanFree_;
     std::int64_t barrier_ = 0;

@@ -153,7 +153,10 @@ simulate(const Program &program, const SimOptions &options)
 bool
 sharesBankWalk(const SimOptions &a, const SimOptions &b)
 {
-    return plainExact(a) && plainExact(b) &&
+    // A conventional machine has no banks: its lanes would share
+    // nothing and only pay for the lockstep.
+    return a.arch.sam != SamKind::Conventional && plainExact(a) &&
+           plainExact(b) &&
            a.maxInstructions == b.maxInstructions &&
            withoutMagicSupply(a.arch) == withoutMagicSupply(b.arch);
 }
@@ -171,15 +174,10 @@ simulateLanes(const Program &program, const std::vector<SimOptions> &lanes)
         LSQCA_REQUIRE(sharesBankWalk(lanes.front(), lane),
                       "simulateLanes: lanes must differ only in magic "
                       "supply");
-    switch (lanes.front().arch.sam) {
-      case SamKind::Point:
+    // sharesBankWalk() leaves point and line machines.
+    if (lanes.front().arch.sam == SamKind::Point)
         return runLanes<SamKind::Point>(program, lanes);
-      case SamKind::Line:
-        return runLanes<SamKind::Line>(program, lanes);
-      case SamKind::Conventional:
-        return runLanes<SamKind::Conventional>(program, lanes);
-    }
-    throw InternalError("unhandled SAM kind");
+    return runLanes<SamKind::Line>(program, lanes);
 }
 
 SimResult

@@ -21,10 +21,10 @@
  * loop emits typed events to the observers listed in SimOptions, and
  * compiles to the event-free fast path when none are attached.
  *
- * Jobs that differ only in magic-state supply run as lanes of one bank
- * walk (simulateLanes()): bank costs depend on the instruction stream
- * alone, so one leader walks the banks and every lane keeps its own
- * timelines. Results are exactly those of simulate() per lane.
+ * SAM jobs that differ only in magic-state supply run as lanes of one
+ * bank walk (simulateLanes()): bank costs depend on the instruction
+ * stream alone, so one leader walks the banks and every lane keeps its
+ * own timelines. Results are exactly those of simulate() per lane.
  */
 
 #include <vector>
@@ -88,9 +88,10 @@ SimResult simulate(const Program &program, const SimOptions &options);
 /**
  * Whether @p a and @p b can run as lanes of one bank walk: both are
  * plain exact runs (no observers, recordTrace, recordBreakdown or
- * sampled estimator), equal in every other field except the
- * MagicSource ones: arch.factories, bufferCap, warmBuffer,
- * instantMagic, lat.msfPeriod and lat.magicTransfer.
+ * sampled estimator) on a point- or line-SAM machine, equal in every
+ * other field except the MagicSource ones: arch.factories, bufferCap,
+ * warmBuffer, instantMagic, lat.msfPeriod and lat.magicTransfer. A
+ * conventional machine has no banks to share, so it never shares.
  */
 bool sharesBankWalk(const SimOptions &a, const SimOptions &b);
 

@@ -11,12 +11,14 @@
  * submission order* — a parallel sweep is bit-identical to the serial
  * loop it replaces, regardless of worker count.
  *
- * Jobs over one program that differ only in magic-state supply (the
- * paper's 1/2/4-factory points) form one work item and run as lanes of
- * one bank walk (simulateLanes(), sharesBankWalk()). The line-SAM
- * row-parallel window is the one bank decision that reads timing, so
- * it is the lane vote: a lane that disagrees with the leader is
- * re-simulated alone, and every result stays exactly simulate()'s.
+ * Point- and line-SAM jobs over one program that differ only in
+ * magic-state supply (the paper's 1/2/4-factory points) form one work
+ * item and run as lanes of one bank walk (simulateLanes(),
+ * sharesBankWalk()); conventional jobs have no banks and run alone.
+ * The line-SAM row-parallel window is the one bank decision that reads
+ * timing, so it is the lane vote: a lane that disagrees with the
+ * leader is re-simulated alone, and every result stays exactly
+ * simulate()'s.
  * Observed, trace, breakdown and sampled jobs never group, and a group
  * that alone would outlast an even share of the sweep runs as
  * separate jobs. Work items start largest first. A JSON report

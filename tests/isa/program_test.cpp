@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "common/error.h"
@@ -135,17 +136,32 @@ TEST(Program, ReferenceCountsOverMemoryOperands)
     EXPECT_EQ(refs[2], 1);
 }
 
+/** Highest CR slot and value id a prefix names; -1 if none. */
+struct BruteExtent
+{
+    std::int32_t maxSlot = -1;
+    std::int32_t maxValue = -1;
+};
+
 /** Brute-force reference for Program::prefixExtent(). */
-PrefixExtent
+BruteExtent
 scanExtent(const Program &p, std::int64_t limit)
 {
-    PrefixExtent extent;
+    BruteExtent extent;
     for (std::int64_t i = 0; i < limit; ++i) {
         const Instruction &inst =
             p.instructions()[static_cast<std::size_t>(i)];
         extent.maxSlot = std::max({extent.maxSlot, inst.c0, inst.c1});
+        extent.maxValue = std::max(extent.maxValue, inst.v0);
     }
     return extent;
+}
+
+/** Value ids a prefix extent's slot table covers: highest named + 1. */
+std::int32_t
+valuesCovered(const PrefixExtent &extent)
+{
+    return static_cast<std::int32_t>(extent.values->slotOf.size());
 }
 
 /** CR slots and values referenced out of order, some never at all. */
@@ -189,16 +205,27 @@ TEST(Program, PrefixExtentMatchesBruteForceAtEveryLimit)
     const Program p = scrambledSlotsProgram();
     // Descending, so no query can be served by a scan of a longer one.
     for (std::int64_t limit = p.size(); limit >= 0; --limit) {
-        const PrefixExtent want = scanExtent(p, limit);
+        const BruteExtent want = scanExtent(p, limit);
+        std::shared_ptr<const ValueSlots> first;
         for (int repeat = 0; repeat < 2; ++repeat) { // miss, then memo
             const PrefixExtent got = p.prefixExtent(limit);
             EXPECT_EQ(got.maxSlot, want.maxSlot) << "limit " << limit;
+            ASSERT_NE(got.values, nullptr) << "limit " << limit;
+            EXPECT_EQ(valuesCovered(got), want.maxValue + 1)
+                << "limit " << limit;
+            if (repeat == 0)
+                first = got.values;
+            else
+                EXPECT_EQ(got.values, first) << "limit " << limit;
         }
     }
     EXPECT_EQ(p.prefixExtent(0).maxSlot, -1);
+    EXPECT_EQ(valuesCovered(p.prefixExtent(0)), 0);
     EXPECT_EQ(p.prefixExtent(p.size()).maxSlot, 6);
+    EXPECT_EQ(valuesCovered(p.prefixExtent(p.size())), 6);
     // Limits past the end clamp to the whole program.
     EXPECT_EQ(p.prefixExtent(p.size() + 100).maxSlot, 6);
+    EXPECT_EQ(valuesCovered(p.prefixExtent(p.size() + 100)), 6);
 }
 
 TEST(Program, AppendInvalidatesPrefixExtent)
@@ -287,9 +314,10 @@ TEST(Program, ValueSlotsKeepEveryValueApartWhileItIsInUse)
                     << "values " << a << " and " << b;
                 // A value first named by a read gets a slot no earlier
                 // value used, so it reads 0.
-                if (readFirst[a])
+                if (readFirst[a]) {
                     EXPECT_GT(first[b], first[a])
                         << "values " << a << " and " << b;
+                }
             }
         }
     }

@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "circuit/lowering.h"
 #include "common/error.h"
 #include "isa/assembler.h"
@@ -56,7 +60,7 @@ magicLanes(const SimOptions &base)
     return lanes;
 }
 
-/** The machines of the paper sweeps plus the ablation toggles. */
+/** The SAM machines of the paper sweeps plus the ablation toggles. */
 std::vector<SimOptions>
 machines()
 {
@@ -69,7 +73,6 @@ machines()
         out.push_back(o);
         return &out.back();
     };
-    add(SamKind::Conventional, 1, 0.0);
     add(SamKind::Point, 1, 0.0);
     add(SamKind::Point, 2, 0.0);
     add(SamKind::Line, 1, 0.0);
@@ -130,6 +133,15 @@ TEST(SimulateLanes, SharesBankWalkOnlyAcrossMagicSupply)
     for (const SimOptions &other : apart)
         EXPECT_FALSE(sharesBankWalk(base, other));
 
+    // A conventional machine has no banks, so its lanes would share
+    // nothing.
+    SimOptions conventional = base;
+    conventional.arch.sam = SamKind::Conventional;
+    EXPECT_FALSE(sharesBankWalk(conventional, conventional));
+    SimOptions twoFactories = conventional;
+    twoFactories.arch.factories = 2;
+    EXPECT_FALSE(sharesBankWalk(conventional, twoFactories));
+
     SimObserver observer;
     std::vector<SimOptions> alone(4, base);
     alone[0].observers.push_back(&observer);
@@ -153,6 +165,12 @@ TEST(SimulateLanes, RejectsLanesThatDoNotShareAWalk)
     SimOptions traced = a;
     traced.recordTrace = true;
     EXPECT_THROW(simulateLanes(program, {a, traced}), ConfigError);
+    SimOptions conventional;
+    conventional.arch.sam = SamKind::Conventional;
+    SimOptions twoFactories = conventional;
+    twoFactories.arch.factories = 2;
+    EXPECT_THROW(simulateLanes(program, {conventional, twoFactories}),
+                 ConfigError);
 }
 
 TEST(SimulateLanes, LostWindowVoteFallsBackToASoloRun)
@@ -188,6 +206,125 @@ TEST(SimulateLanes, LostWindowVoteFallsBackToASoloRun)
         ASSERT_EQ(run.results.size(), 2u);
         for (std::size_t k = 0; k < lanes.size(); ++k)
             expectIdentical(run.results[k], simulate(program, lanes[k]));
+    }
+}
+
+TEST(SimulateLanes, ValueReadBeforeItsWriteSeesZero)
+{
+    // Simulator.ValueReadBeforeItsWriteSeesZero on a SAM machine, where
+    // lanes keep value ready times in value slots: v1, read before any
+    // write, must not be handed the slot v0 (ready at beat 9) freed.
+    const Program program = assemble("; lsqca program: 1 variables\n"
+                                     "HD.C c0\n"
+                                     "HD.C c0\n"
+                                     "HD.C c0\n"
+                                     "MZ.C c0 -> v0\n"
+                                     "SK v0\n"
+                                     "HD.C c1\n"
+                                     "SK v1\n"
+                                     "HD.M m0\n"
+                                     "HD.M m0\n");
+    SimOptions one;
+    one.arch.sam = SamKind::Point;
+    SimOptions two = one;
+    two.arch.factories = 2;
+    const SimResult solo = simulate(program, one);
+    EXPECT_EQ(solo.execBeats, 12); // both HD.M m0 done by then
+    const LaneResults run = simulateLanes(program, {one, two});
+    ASSERT_EQ(run.results.size(), 2u);
+    expectIdentical(run.results[0], solo);
+    expectIdentical(run.results[1], simulate(program, two));
+}
+
+/** Records each instruction's start and end beat, in program order. */
+class InstructionSpans final : public SimObserver
+{
+  public:
+    std::vector<std::pair<std::int64_t, std::int64_t>> spans;
+
+    void
+    onInstruction(const InstructionEvent &event) override
+    {
+        spans.push_back({event.start, event.end});
+    }
+};
+
+Instruction
+make(Opcode op, std::int32_t c0 = -1, std::int32_t m0 = -1,
+     std::int32_t v0 = -1)
+{
+    Instruction inst;
+    inst.op = op;
+    inst.c0 = c0;
+    inst.m0 = m0;
+    inst.v0 = v0;
+    return inst;
+}
+
+TEST(SimulateLanes, EveryValueOperandButSkIsWrittenBeforeItIsRead)
+{
+    // Lanes keep value ready times in the slots Program::prefixExtent()
+    // hands out (ValueSlots, isa/program.h), on the rule that SK is the
+    // only opcode that reads its value and every other opcode naming
+    // one writes it. Pin the machine to that rule, opcode by opcode:
+    // v0 is written at beat 3 and read, so its slot is free again; the
+    // opcode under test names v1 later, and SK v1 must wait exactly
+    // for it, in a solo run and in lanes alike. A new opcode that
+    // reads a value fails here until the slot rule learns about it.
+    for (int k = 0; k < kNumOpcodes; ++k) {
+        const auto op = static_cast<Opcode>(k);
+        const OpcodeInfo &info = opcodeInfo(op);
+        if (info.numVal == 0 || op == Opcode::SK)
+            continue;
+        SCOPED_TRACE(info.mnemonic);
+        Program program(2);
+        program.newValue();
+        program.newValue();
+        // Busy the writer's operands past beat 3.
+        for (int rep = 0; rep < 2; ++rep) {
+            if (info.numReg >= 1)
+                program.append(make(Opcode::HD_C, 0));
+            if (info.numMem >= 1)
+                program.append(make(Opcode::HD_M, -1, 0));
+        }
+        program.append(make(Opcode::HD_C, 2));
+        program.append(make(Opcode::MZ_C, 2, -1, 0)); // v0 at beat 3
+        program.append(make(Opcode::SK, -1, -1, 0));
+        program.append(make(Opcode::PZ_C, 4)); // takes SK v0's barrier
+        Instruction writer;
+        writer.op = op;
+        writer.c0 = info.numReg >= 1 ? 0 : -1;
+        writer.c1 = info.numReg >= 2 ? 1 : -1;
+        writer.m0 = info.numMem >= 1 ? 0 : -1;
+        writer.v0 = 1;
+        const auto w = static_cast<std::size_t>(program.size());
+        program.append(writer);
+        program.append(make(Opcode::SK, -1, -1, 1));
+        program.append(make(Opcode::HD_C, 3)); // waits for SK v1
+
+        SimOptions plain;
+        plain.arch.sam = SamKind::Point;
+        InstructionSpans ran;
+        SimOptions observed = plain;
+        observed.observers = {&ran};
+        const SimResult solo = simulate(program, observed);
+        ASSERT_EQ(ran.spans.size(),
+                  static_cast<std::size_t>(program.size()));
+        const std::int64_t written = ran.spans[w].second;
+        EXPECT_GT(written, 3);
+        EXPECT_EQ(ran.spans[w + 1].first, written);
+        EXPECT_EQ(ran.spans[w + 2].first, written);
+        // The last instruction to finish, so a lane whose SK v1 read
+        // anything else would end at another beat.
+        ASSERT_EQ(solo.execBeats, written + 3);
+
+        SimOptions twoFactories = plain;
+        twoFactories.arch.factories = 2;
+        const LaneResults run =
+            simulateLanes(program, {plain, twoFactories});
+        ASSERT_EQ(run.results.size(), 2u);
+        expectIdentical(run.results[0], solo);
+        expectIdentical(run.results[1], simulate(program, twoFactories));
     }
 }
 

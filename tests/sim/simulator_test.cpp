@@ -183,10 +183,10 @@ TEST(Simulator, BarrierOnlyAppliesOnce)
 
 TEST(Simulator, ValueReadBeforeItsWriteSeesZero)
 {
-    // Value ready times live in shared slots (ValueSlots, program.h).
     // v0 is ready at beat 9 and done once SK v0 reads it; v1 is never
-    // written, so SK v1 must read 0 and leave no barrier, whatever
-    // slot v0 used. Reading v0's 9 would delay both HD.M m0 to 15.
+    // written, so SK v1 must read 0 and leave no barrier. Reading v0's
+    // 9 (as a lane would, were v1 handed v0's value slot) would delay
+    // both HD.M m0 to 15.
     const Program p = assemble("; lsqca program: 1 variables\n"
                                "HD.C c0\n"
                                "HD.C c0\n"

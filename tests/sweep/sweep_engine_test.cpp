@@ -328,9 +328,11 @@ TEST(SweepEngine, LaneGroupsEqualPerJobSimulateOnPaperSweeps)
 {
     // The paper sweeps run each (program, machine) point at several
     // factory counts: those jobs share one bank walk as lanes, and
-    // every result still equals a solo simulate() of its job.
+    // every result still equals a solo simulate() of its job. fig14's
+    // 1,785 jobs form 609 work items: 588 SAM groups plus 21
+    // conventional jobs, which have no banks to share and run alone.
     const std::map<std::string, std::int64_t> groups = {
-        {"fig14", 595}, {"ablation", 51}};
+        {"fig14", 609}, {"ablation", 51}};
     api::BenchmarkRegistry registry = api::BenchmarkRegistry::paper();
     for (const char *name : {"fig13", "fig14", "fig15", "ablation", "smoke"}) {
         const std::vector<SweepJob> jobs = paperJobs(name, registry);
@@ -352,28 +354,31 @@ TEST(SweepEngine, LaneGroupsEqualPerJobSimulateOnPaperSweeps)
                       static_cast<std::int64_t>(jobs.size()));
             EXPECT_LT(metrics.counter("sweep.groups").value(),
                       static_cast<std::int64_t>(jobs.size()));
-            if (groups.contains(name))
+            if (groups.contains(name)) {
                 EXPECT_EQ(metrics.counter("sweep.groups").value(),
                           groups.at(name));
+            }
         }
     }
 }
 
 TEST(SweepEngine, JobsApartOutsideMagicSupplyNeverShareAGroup)
 {
-    // Six machines at two factory counts each: the factory twins
-    // share a walk, no two machines do.
+    // Seven machines at two factory counts each: the SAM factory twins
+    // share a walk, no two machines do, and the conventional twins
+    // (no banks) run alone.
     const Program program = translate(lowerToCliffordT(makeAdder(8)));
     SweepJob base;
     base.name = "base";
     base.program = &program;
     base.options.arch.sam = SamKind::Line;
-    std::vector<SweepJob> machines(6, base);
+    std::vector<SweepJob> machines(7, base);
     machines[1].options.arch.hybridFraction = 0.25;
     machines[2].options.maxInstructions = 100;
     machines[3].options.arch.placement = PlacementPolicy::Interleaved;
     machines[4].options.arch.rowParallelOps = false;
     machines[5].options.arch.lat.move = 2;
+    machines[6].options.arch.sam = SamKind::Conventional;
     std::vector<SweepJob> jobs;
     for (const std::int32_t factories : {1, 2}) {
         for (SweepJob job : machines) {
@@ -383,7 +388,7 @@ TEST(SweepEngine, JobsApartOutsideMagicSupplyNeverShareAGroup)
     }
     metrics::Registry metrics;
     const SweepReport report = SweepEngine({2, &metrics}).run(jobs);
-    EXPECT_EQ(metrics.counter("sweep.groups").value(), 6);
+    EXPECT_EQ(metrics.counter("sweep.groups").value(), 8);
     for (std::size_t i = 0; i < jobs.size(); ++i)
         expectIdentical(report.results[i],
                         simulate(*jobs[i].program, jobs[i].options));
