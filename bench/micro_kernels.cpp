@@ -222,6 +222,30 @@ main(int argc, char **argv)
                "construction", setupsPerRep, "ns_per_machine_setup");
     }
 
+    // ---- program build -------------------------------------------------
+    // The build behind every sweep program, from the synthesized macro
+    // circuit of a full-length SELECT(41) to its 642,973 instructions:
+    // two-pass (lowerToCliffordT, then translate; perfbench's traced
+    // circuit.lower_s and translate.s time these two calls) against
+    // one-pass (lowerAndTranslate, which the registry runs).
+    {
+        SelectParams params;
+        params.width = 41;
+        const Circuit macro = makeSelect(params);
+        const std::int64_t built = lowerAndTranslate(macro).size();
+        record("build/select41/two-pass",
+               bestOf(simReps,
+                      [&] {
+                          doNotOptimize(
+                              translate(lowerToCliffordT(macro)).size());
+                      }),
+               "instruction", built, "ns_per_built_instr");
+        record("build/select41/one-pass",
+               bestOf(simReps,
+                      [&] { doNotOptimize(lowerAndTranslate(macro).size()); }),
+               "instruction", built, "ns_per_built_instr");
+    }
+
     // ---- bank cost-model kernels ---------------------------------------
     // The point/line simulate() hot path is bound by these queries
     // (ROADMAP "Performance & benchmarking"); tracking them per query

@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "api/json_reader.h"
-#include "circuit/lowering.h"
 #include "common/error.h"
 #include "synth/benchmarks.h"
 
@@ -258,14 +257,11 @@ BenchmarkRegistry::program(const std::string &name, const Json &params,
         std::to_string(translate_options.crSlots);
     auto found = programs_.find(key);
     if (found == programs_.end()) {
-        // Two statements, so the synthesized circuit is freed before
-        // translation: only the lowered one stays alive next to the
-        // Program being built (this sets the peak memory of
-        // full-length SELECT sweeps).
-        const Circuit lowered =
-            lowerToCliffordT(bench.synthesize(canonical));
-        auto program = std::make_unique<Program>(
-            translate(lowered, translate_options));
+        // One pass: gadgets expand inside translation, so only the
+        // synthesized macro circuit (a temporary, freed at the end of
+        // this statement) stays alive next to the Program being built.
+        auto program = std::make_unique<Program>(lowerAndTranslate(
+            bench.synthesize(canonical), translate_options));
         found = programs_.emplace(key, std::move(program)).first;
     }
     return *found->second;

@@ -5,9 +5,11 @@
  * @file
  * Name-addressable benchmark programs: the declarative experiment API's
  * front end to src/synth. A registry maps (benchmark name, JSON
- * parameter object) to a synthesized, lowered, and translated Program,
- * memoizing the result so one program shared across N sweep points is
- * lowered exactly once — the expensive half of a big sweep's setup.
+ * parameter object, translate options) to a Program, synthesized and
+ * then lowered and translated in one pass (lowerAndTranslate: no
+ * lowered circuit is built), memoizing the result so one program
+ * shared across N sweep points is built exactly once — the largest
+ * part of a big sweep's setup.
  *
  * Parameters are validated strictly (unknown keys and out-of-range
  * values throw ConfigError) and canonicalized (defaults filled in), so
@@ -78,8 +80,8 @@ class BenchmarkRegistry
 
     /**
      * The translated program for (name, params, translate options),
-     * synthesized and lowered on first use and cached thereafter. The
-     * reference stays valid for the registry's lifetime.
+     * built on first use and cached thereafter. The reference stays
+     * valid for the registry's lifetime.
      */
     const Program &program(const std::string &name, const Json &params,
                            const TranslateOptions &translate = {});

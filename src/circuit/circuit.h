@@ -54,10 +54,12 @@ class Circuit
     /**
      * Lvalues only: `for (g : makeCircuit().gates())` would iterate a
      * reference into a destroyed temporary, so it does not compile.
+     * The same holds for registers().
      */
     const std::vector<Gate> &gates() const & { return gates_; }
     const std::vector<Gate> &gates() const && = delete;
-    const std::vector<QubitRegister> &registers() const { return regs_; }
+    const std::vector<QubitRegister> &registers() const & { return regs_; }
+    const std::vector<QubitRegister> &registers() const && = delete;
 
     /** Register index owning qubit @p q; -1 when q is anonymous. */
     std::int32_t registerOf(QubitId q) const;
@@ -70,6 +72,13 @@ class Circuit
 
     /** Append an arbitrary gate (operands validated). */
     void append(const Gate &gate);
+
+    /** Allocate room for @p gates in total (no effect on size()). */
+    void
+    reserve(std::int64_t gates)
+    {
+        gates_.reserve(static_cast<std::size_t>(gates));
+    }
 
     // ---- emit helpers -------------------------------------------------
     void x(QubitId q) { append1(GateKind::X, q); }

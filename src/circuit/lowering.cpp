@@ -1,125 +1,30 @@
 #include "circuit/lowering.h"
 
-#include "common/error.h"
-
 namespace lsqca {
-namespace {
-
-/** Emit the canonical 7-T Toffoli network onto @p out. */
-void
-emitCcx7T(Circuit &out, QubitId a, QubitId b, QubitId c)
-{
-    out.h(c);
-    out.cx(b, c);
-    out.tdg(c);
-    out.cx(a, c);
-    out.t(c);
-    out.cx(b, c);
-    out.tdg(c);
-    out.cx(a, c);
-    out.t(b);
-    out.t(c);
-    out.h(c);
-    out.cx(a, b);
-    out.t(a);
-    out.tdg(b);
-    out.cx(a, b);
-}
-
-/**
- * Emit the 4-T temporary-AND gadget: |a,b,0> -> |a,b,a AND b>.
- *
- * The target is re-prepared in |+>, accumulates the controlled phase via
- * four T/Tdg interleaved with CX from the controls, and H+S converts the
- * phase kickback into a computational AND with no residual phase (see
- * tests/circuit/lowering_test.cpp for the exact-state check).
- */
-void
-emitAnd4T(Circuit &out, QubitId a, QubitId b, QubitId t)
-{
-    out.prepX(t);
-    out.cx(b, t);
-    out.tdg(t);
-    out.cx(a, t);
-    out.t(t);
-    out.cx(b, t);
-    out.tdg(t);
-    out.cx(a, t);
-    out.t(t);
-    out.h(t);
-    out.s(t);
-}
-
-/** Emit the measurement-based AND uncompute: MX + conditional CZ. */
-void
-emitUnAnd(Circuit &out, QubitId a, QubitId b, QubitId t)
-{
-    const ClassicalBit outcome = out.measX(t);
-    out.czConditioned(a, b, outcome);
-    // Leave the ancilla in a fresh |0> for reuse.
-    out.prepZ(t);
-}
-
-} // namespace
 
 Circuit
 lowerToCliffordT(const Circuit &circuit, ToffoliStyle style)
 {
+    const LoweringPlan plan = planLowering(
+        circuit, style, [](const Gate &) { return std::int64_t{1}; });
     Circuit out;
     for (const auto &r : circuit.registers())
         out.addRegister(r.name, r.size);
+    if (plan.ancilla != kNoQubit)
+        out.addRegister(kCcxAncillaRegister, 1);
 
     // Classical bits of the source circuit are re-created up front so that
     // source cbit indices stay valid; gadget-internal bits follow after.
     for (std::int32_t i = 0; i < circuit.numClassicalBits(); ++i)
         out.newBit();
 
-    QubitId ccx_anc = kNoQubit;
-    auto ensureAncilla = [&]() {
-        if (ccx_anc == kNoQubit)
-            ccx_anc = out.addRegister("ccx_anc", 1);
-        return ccx_anc;
-    };
+    out.reserve(plan.weight);
+    for (const auto &g : circuit.gates())
+        lowerGate(g, style, plan.ancilla, out);
 
-    for (const auto &g : circuit.gates()) {
-        switch (g.kind) {
-          case GateKind::Swap:
-            LSQCA_REQUIRE(g.condBit == kNoBit,
-                          "conditioned swap is not supported");
-            out.cx(g.qubits[0], g.qubits[1]);
-            out.cx(g.qubits[1], g.qubits[0]);
-            out.cx(g.qubits[0], g.qubits[1]);
-            break;
-          case GateKind::CCX: {
-            LSQCA_REQUIRE(g.condBit == kNoBit,
-                          "conditioned ccx is not supported");
-            if (style == ToffoliStyle::Textbook7T) {
-                emitCcx7T(out, g.qubits[0], g.qubits[1], g.qubits[2]);
-            } else {
-                const QubitId m = ensureAncilla();
-                emitAnd4T(out, g.qubits[0], g.qubits[1], m);
-                out.cx(m, g.qubits[2]);
-                emitUnAnd(out, g.qubits[0], g.qubits[1], m);
-            }
-            break;
-          }
-          case GateKind::AndInit:
-            // Explicit ANDs always use the 4-T gadget (no ancilla cost).
-            LSQCA_REQUIRE(g.condBit == kNoBit,
-                          "conditioned and is not supported");
-            emitAnd4T(out, g.qubits[0], g.qubits[1], g.qubits[2]);
-            break;
-          case GateKind::AndUncompute:
-            LSQCA_REQUIRE(g.condBit == kNoBit,
-                          "conditioned unand is not supported");
-            emitUnAnd(out, g.qubits[0], g.qubits[1], g.qubits[2]);
-            break;
-          default:
-            out.append(g);
-            break;
-        }
-    }
-
+    LSQCA_ASSERT(out.size() == plan.weight &&
+                     out.numClassicalBits() == plan.numBits,
+                 "planLowering() disagrees with lowerGate()");
     for (const auto &g : out.gates())
         LSQCA_ASSERT(isCliffordTGate(g.kind),
                      "lowering left a non-Clifford+T gate behind");

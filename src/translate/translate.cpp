@@ -1,73 +1,87 @@
 #include "translate/translate.h"
 
-#include "circuit/lowering.h"
 #include "common/error.h"
 
 namespace lsqca {
 namespace {
 
-/** Stateful emitter walking one circuit. */
-class Emitter
+/** Instructions Emitter::append() emits for Clifford+T gate @p g. */
+std::int64_t
+instructionsFor(const Gate &g, const TranslateOptions &options)
+{
+    const std::int64_t guarded = g.condBit == kNoBit ? 0 : 1;
+    switch (g.kind) {
+      case GateKind::X:
+      case GateKind::Y:
+      case GateKind::Z:
+        return 0;
+      case GateKind::H:
+      case GateKind::S:
+      case GateKind::Sdg:
+        return guarded + (options.inMemoryOps ? 1 : 3);
+      case GateKind::T:
+      case GateKind::Tdg:
+        return options.inMemoryOps ? 5 : 7;
+      default:
+        return guarded + 1;
+    }
+}
+
+/**
+ * Stateful emitter building one program, gate by gate. As a GateSink it
+ * takes lowerGate()'s expansions directly.
+ */
+class Emitter : public GateSink<Emitter>
 {
   public:
-    Emitter(const Circuit &circuit, const TranslateOptions &options)
-        : circ_(circuit), opts_(options),
-          prog_(circuit.numQubits())
+    /**
+     * A program over @p circuit's registers, plus the ancilla register
+     * when @p plan borrows one. Its first plan.numBits values are the
+     * lowered circuit's classical bits, and plan.weight instructions
+     * are reserved: grown by doubling, a full-length SELECT program is
+     * copied about twice and faults in about twice its final size in
+     * fresh pages, which cost more setup time than the counting pass.
+     */
+    Emitter(const Circuit &circuit, const TranslateOptions &options,
+            const LoweringPlan &plan)
+        : opts_(options), plan_(plan),
+          prog_(circuit.numQubits() + (plan.ancilla == kNoQubit ? 0 : 1)),
+          nextBit_(circuit.numClassicalBits())
     {
         LSQCA_REQUIRE(opts_.crSlots >= 2,
                       "translation needs at least two CR slots");
-        for (const auto &r : circ_.registers())
+        for (const auto &r : circuit.registers())
             prog_.addRegister(r.name, r.first, r.size);
-        // Circuit classical bits map 1:1 onto the first program values.
-        for (std::int32_t i = 0; i < circ_.numClassicalBits(); ++i)
+        if (plan.ancilla != kNoQubit)
+            prog_.addRegister(kCcxAncillaRegister, plan.ancilla, 1);
+        for (std::int32_t i = 0; i < plan.numBits; ++i)
             prog_.newValue();
+        prog_.reserve(plan.weight);
     }
 
-    Program
-    run()
+    /** Emit the instructions for Clifford+T gate @p g. */
+    void
+    append(const Gate &g)
     {
-        // Allocate the stream once. Grown by doubling, a full-length
-        // SELECT program is copied about twice and faults in about
-        // twice its final size in fresh pages, which cost more setup
-        // time than this extra pass over the gates.
-        std::int64_t expected = 0;
-        for (const auto &g : circ_.gates())
-            expected += instructionsFor(g);
-        prog_.reserve(expected);
-        for (const auto &g : circ_.gates()) {
-            LSQCA_REQUIRE(isCliffordTGate(g.kind),
-                          std::string("translate: non-Clifford+T gate: ") +
-                              gateName(g.kind));
-            emitGate(g);
-        }
-        LSQCA_ASSERT(prog_.size() == expected,
-                     "instructionsFor() disagrees with emitGate()");
+        LSQCA_REQUIRE(isCliffordTGate(g.kind),
+                      std::string("translate: non-Clifford+T gate: ") +
+                          gateName(g.kind));
+        emitGate(g);
+    }
+
+    /** The next un-AND outcome bit, numbered after the source's bits. */
+    ClassicalBit newBit() { return nextBit_++; }
+
+    Program
+    finish()
+    {
+        LSQCA_ASSERT(prog_.size() == plan_.weight &&
+                         nextBit_ == plan_.numBits,
+                     "the counting pass disagrees with emission");
         return std::move(prog_);
     }
 
   private:
-    /** Instructions emitGate() appends for Clifford+T gate @p g. */
-    std::int64_t
-    instructionsFor(const Gate &g) const
-    {
-        const std::int64_t guarded = g.condBit == kNoBit ? 0 : 1;
-        switch (g.kind) {
-          case GateKind::X:
-          case GateKind::Y:
-          case GateKind::Z:
-            return 0;
-          case GateKind::H:
-          case GateKind::S:
-          case GateKind::Sdg:
-            return guarded + (opts_.inMemoryOps ? 1 : 3);
-          case GateKind::T:
-          case GateKind::Tdg:
-            return opts_.inMemoryOps ? 5 : 7;
-          default:
-            return guarded + 1;
-        }
-    }
-
     /** Next CR slot in round-robin order. */
     std::int32_t
     nextSlot()
@@ -251,9 +265,10 @@ class Emitter
         }
     }
 
-    const Circuit &circ_;
     TranslateOptions opts_;
+    LoweringPlan plan_;
     Program prog_;
+    ClassicalBit nextBit_;
     std::int32_t rrSlot_ = 0;
 };
 
@@ -262,7 +277,30 @@ class Emitter
 Program
 translate(const Circuit &circuit, const TranslateOptions &options)
 {
-    return Emitter(circuit, options).run();
+    // Nothing to lower: a macro gate reaches Emitter::append() as is,
+    // and is rejected there.
+    LoweringPlan plan;
+    plan.numBits = circuit.numClassicalBits();
+    for (const auto &g : circuit.gates())
+        plan.weight += instructionsFor(g, options);
+    Emitter emitter(circuit, options, plan);
+    for (const auto &g : circuit.gates())
+        emitter.append(g);
+    return emitter.finish();
+}
+
+Program
+lowerAndTranslate(const Circuit &circuit, const TranslateOptions &options,
+                  ToffoliStyle style)
+{
+    const LoweringPlan plan =
+        planLowering(circuit, style, [&options](const Gate &g) {
+            return instructionsFor(g, options);
+        });
+    Emitter emitter(circuit, options, plan);
+    for (const auto &g : circuit.gates())
+        lowerGate(g, style, plan.ancilla, emitter);
+    return emitter.finish();
 }
 
 } // namespace lsqca

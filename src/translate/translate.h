@@ -21,6 +21,7 @@
  */
 
 #include "circuit/circuit.h"
+#include "circuit/lowering.h"
 #include "isa/program.h"
 
 namespace lsqca {
@@ -59,6 +60,18 @@ struct TranslateOptions
  */
 Program translate(const Circuit &circuit,
                   const TranslateOptions &options = {});
+
+/**
+ * Lower a macro circuit and translate it in one pass: every gate is
+ * expanded by lowerGate() straight into the emitter, so the lowered
+ * circuit is never built. Equal to
+ * `translate(lowerToCliffordT(circuit, style), options)` instruction
+ * for instruction, with the same registers, numVariables() and
+ * numValues(). @throws ConfigError where either of those would.
+ */
+Program lowerAndTranslate(const Circuit &circuit,
+                          const TranslateOptions &options = {},
+                          ToffoliStyle style = ToffoliStyle::Textbook7T);
 
 } // namespace lsqca
 

@@ -9,12 +9,17 @@
 namespace lsqca {
 namespace {
 
-// Lvalue-only accessor: `for (g : makeCircuit().gates())` must stay a
-// compile error.
+// Lvalue-only accessors: `for (g : makeCircuit().gates())` and its
+// registers() twin must stay compile errors.
 template <typename C>
 constexpr bool kGatesCompile = requires { std::declval<C>().gates(); };
 static_assert(kGatesCompile<const Circuit &>);
 static_assert(!kGatesCompile<Circuit>);
+template <typename C>
+constexpr bool kRegistersCompile =
+    requires { std::declval<C>().registers(); };
+static_assert(kRegistersCompile<const Circuit &>);
+static_assert(!kRegistersCompile<Circuit>);
 
 TEST(Circuit, RegistersAreContiguous)
 {
