@@ -16,14 +16,32 @@ MagicSource::MagicSource(std::int32_t factories, std::int32_t buffer_cap,
     LSQCA_REQUIRE(transfer >= 0, "MagicSource transfer must be >= 0");
 }
 
-std::int64_t
-MagicSource::deliveryTime(std::int64_t k)
+namespace {
+
+/** Store history entry k at @p ring[@p pos], @p pos = k mod @p size. */
+void
+remember(std::vector<std::int64_t> &ring, std::int32_t &pos,
+         std::int32_t size, std::int64_t value)
 {
+    if (static_cast<std::size_t>(pos) == ring.size())
+        ring.push_back(value); // first lap
+    else
+        ring[static_cast<std::size_t>(pos)] = value;
+    if (++pos == size)
+        pos = 0;
+}
+
+} // namespace
+
+std::int64_t
+MagicSource::deliveryTime() const
+{
+    const std::int64_t k = consumed_;
     if (warm_ && k < bufferCap_)
         return 0; // pre-filled buffer at t = 0
     std::int64_t prev_factory;
     if (k >= factories_) {
-        prev_factory = dHistory_.front();
+        prev_factory = delivered_[static_cast<std::size_t>(deliveredPos_)];
     } else {
         // Factory's first state after a cold start (or after the warm
         // prefill was consumed faster than it could be produced).
@@ -31,7 +49,8 @@ MagicSource::deliveryTime(std::int64_t k)
     }
     std::int64_t ready = prev_factory + period_;
     if (k >= bufferCap_)
-        ready = std::max(ready, cHistory_.front());
+        ready = std::max(
+            ready, consumedAt_[static_cast<std::size_t>(consumedPos_)]);
     return ready;
 }
 
@@ -41,18 +60,11 @@ MagicSource::acquire(std::int64_t req)
     LSQCA_REQUIRE(req >= 0, "negative request time");
     if (instant_)
         return {req, req};
-    const std::int64_t k = consumed_;
-    const std::int64_t ready = deliveryTime(k);
+    const std::int64_t ready = deliveryTime();
     const std::int64_t start = std::max(req, ready);
     stallBeats_ += std::max<std::int64_t>(0, ready - req);
-
-    dHistory_.push_back(std::max(ready, std::int64_t{0}));
-    if (static_cast<std::int64_t>(dHistory_.size()) > factories_)
-        dHistory_.pop_front();
-    cHistory_.push_back(start);
-    if (static_cast<std::int64_t>(cHistory_.size()) > bufferCap_)
-        cHistory_.pop_front();
-
+    remember(delivered_, deliveredPos_, factories_, ready);
+    remember(consumedAt_, consumedPos_, bufferCap_, start);
     ++consumed_;
     return {start, start + transfer_};
 }

@@ -9,7 +9,7 @@
  */
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "common/error.h"
 
@@ -52,7 +52,7 @@ class MagicSource
     std::int64_t stallBeats() const { return stallBeats_; }
 
   private:
-    std::int64_t deliveryTime(std::int64_t k);
+    std::int64_t deliveryTime() const;
 
     std::int32_t factories_;
     std::int32_t bufferCap_;
@@ -62,8 +62,15 @@ class MagicSource
     bool instant_;
     std::int64_t consumed_ = 0;
     std::int64_t stallBeats_ = 0;
-    std::deque<std::int64_t> dHistory_; ///< last `factories_` deliveries
-    std::deque<std::int64_t> cHistory_; ///< last `bufferCap_` consumptions
+    // The recurrence's history as rings: state k's delivery d_k lives
+    // at delivered_[k mod factories_] and its consumption c_k at
+    // consumedAt_[k mod bufferCap_], so before state k overwrites its
+    // slots they hold d_{k-f} and c_{k-B}. Each ring grows to its size
+    // on the first lap only, so an unused buffer capacity costs nothing.
+    std::vector<std::int64_t> delivered_;
+    std::vector<std::int64_t> consumedAt_;
+    std::int32_t deliveredPos_ = 0; ///< consumed_ mod factories_
+    std::int32_t consumedPos_ = 0;  ///< consumed_ mod bufferCap_
 };
 
 } // namespace lsqca

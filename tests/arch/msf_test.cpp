@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace lsqca {
 namespace {
 
@@ -112,6 +118,71 @@ TEST(MagicSource, MonotoneRequestsGiveMonotoneGrants)
         const auto grant = msf.acquire(i * 3);
         EXPECT_GE(grant.start, prev);
         prev = grant.start;
+    }
+}
+
+TEST(MagicSource, MatchesRecurrenceOnRandomStreams)
+{
+    // The source keeps only the last f deliveries and B consumptions;
+    // check it against the recurrence over the full history,
+    //   d_k = max(d_{k-f} + period, c_{k-B}),  c_k = max(req_k, d_k),
+    // with d_{k-f} = 0 for k < f, no c term for k < B, and d_k = 0 for
+    // the first B states of a warm start. Request streams are seeded,
+    // monotone, and mix bursts (gap 0) with idle stretches.
+    const std::int32_t period = 15;
+    const std::int32_t transfer = 2;
+    for (std::int32_t f = 1; f <= 6; ++f) {
+        for (std::int32_t cap = 1; cap <= 9; ++cap) {
+            for (const bool warm : {true, false}) {
+                for (const bool instant : {false, true}) {
+                    SCOPED_TRACE("f=" + std::to_string(f) +
+                                 " B=" + std::to_string(cap) +
+                                 (warm ? " warm" : " cold") +
+                                 (instant ? " instant" : ""));
+                    Rng rng(static_cast<std::uint64_t>(
+                        ((f * 16 + cap) * 2 + warm) * 2 + instant));
+                    MagicSource msf(f, cap, period, transfer, warm,
+                                    instant);
+                    std::vector<std::int64_t> d;
+                    std::vector<std::int64_t> c;
+                    std::int64_t req = 0;
+                    std::int64_t stall = 0;
+                    for (std::size_t k = 0; k < 200; ++k) {
+                        const std::uint64_t draw = rng.below(10);
+                        req += draw < 4   ? 0
+                               : draw < 8 ? static_cast<std::int64_t>(
+                                                rng.below(period))
+                                          : static_cast<std::int64_t>(
+                                                rng.below(8 * period));
+                        const MagicSource::Grant grant = msf.acquire(req);
+                        if (instant) {
+                            ASSERT_EQ(grant.start, req);
+                            ASSERT_EQ(grant.end, req);
+                            continue;
+                        }
+                        std::int64_t dk = 0;
+                        if (!warm || k >= static_cast<std::size_t>(cap)) {
+                            dk = (k >= static_cast<std::size_t>(f)
+                                      ? d[k - static_cast<std::size_t>(f)]
+                                      : 0) +
+                                 period;
+                            if (k >= static_cast<std::size_t>(cap))
+                                dk = std::max(
+                                    dk,
+                                    c[k - static_cast<std::size_t>(cap)]);
+                        }
+                        d.push_back(dk);
+                        c.push_back(std::max(req, dk));
+                        stall += std::max<std::int64_t>(0, dk - req);
+                        ASSERT_EQ(grant.start, c.back()) << "state " << k;
+                        ASSERT_EQ(grant.end, c.back() + transfer);
+                    }
+                    EXPECT_EQ(msf.consumed(),
+                              static_cast<std::int64_t>(c.size()));
+                    EXPECT_EQ(msf.stallBeats(), stall);
+                }
+            }
+        }
     }
 }
 
