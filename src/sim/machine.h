@@ -39,24 +39,27 @@
  *
  * Lanes. SAM jobs that differ only in magic-state supply walk the same
  * banks: every load/store/seek/align/fetch cost depends on the
- * instruction stream alone. So one machine, the leader (Lane::Lead),
- * owns the banks and records every bank-derived value on a Tape;
- * followers (Lane::Follow) own no banks, keep their own timelines and
- * MagicSource, and replay the tape chunk by chunk, in lockstep with
- * the leader (run()'s followers). The row-parallel window is the one
- * bank decision that reads timing, so it is also the lane vote: every
- * lane evaluates it, the leader's vote drives the banks, and a
- * follower that votes otherwise marks itself diverged() and stops;
- * its runner re-simulates it alone (simulateLanes()). A solo machine
- * (Lane::Solo: simulate(), the estimator) records nothing, and its
- * exec paths compile to the plain bank calls and per-value ready times
- * of a simulator without lanes (replayed(), valueReady()).
+ * instruction stream alone. So one machine runs a whole lane group: it
+ * decodes each instruction, resolves its region and bank, and costs
+ * and commits it against its banks once; only the timing arithmetic
+ * loops over the lanes (eachLane()). Every timeline keeps one entry
+ * per lane, lane-minor (entry e of lane l at index e * lanes + l): the
+ * ready times per variable, value slot, CR slot and scan cell, and each
+ * lane's SK barrier, row-parallel window, MagicSource, per-opcode beats
+ * and execBeats. The row-parallel window is the one bank decision that
+ * reads timing, so it is the lane vote: lane 0's vote drives the banks,
+ * and a lane that votes otherwise is marked diverged(); its runner
+ * re-simulates it alone (simulateLanes()). A solo machine (simulate(),
+ * the estimator) is the one-lane instantiation of the same exec paths:
+ * LANES = 1 folds every lane loop and stride away, and indexes value
+ * ready times by value id instead of by slot (valueRow()).
  *
  * This header is internal: nothing outside src/sim, src/estimate, the
  * test tree, and the micro-kernel bench should include it.
  */
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -96,26 +99,12 @@ maxOf(std::int64_t a, std::int64_t b, Rest... rest)
     return maxOf(maxOf(a, b), rest...);
 }
 
-/** A machine's part in a bank walk (file comment, "Lanes"). */
-enum class Lane : std::uint8_t
-{
-    Solo,   ///< walks its own banks (simulate(), the estimator)
-    Lead,   ///< walks the banks and records the tape for followers
-    Follow, ///< owns no banks; replays its leader's tape
-};
-
-/**
- * The bank-derived values of one chunk of instructions, in the order
- * the exec paths ask for them: the leader appends, followers replay.
- */
-using Tape = std::vector<std::int64_t>;
-
-/** Instructions the leader runs before its followers replay them. */
-inline constexpr std::int64_t kLaneChunk = 1024;
+/** LANES for a machine whose lane count is set at run time. */
+inline constexpr std::int32_t kAnyLanes = 0;
 
 /**
  * The machine: bank state + resource timelines + in-order dataflow
- * issue. One instance per simulate() call.
+ * issue. One instance per simulate() call, or per lane group.
  *
  * Templated on the floorplan kind so the per-instruction bank dispatch
  * (point vs line vs conventional) resolves at compile time: the hot
@@ -129,39 +118,66 @@ inline constexpr std::int64_t kLaneChunk = 1024;
  * simulator (the `ns_per_instr_null_observer` micro kernel tracks the
  * observed path's cost).
  *
- * LANE is the machine's part in a shared bank walk (file comment);
- * only solo machines are observed.
+ * LANES is the number of lanes sharing the bank walk (file comment,
+ * "Lanes"): 1 for a solo machine, or kAnyLanes for a count set at
+ * construction. Only solo machines are observed.
  */
-template <SamKind KIND, bool OBSERVE, Lane LANE = Lane::Solo>
+template <SamKind KIND, bool OBSERVE, std::int32_t LANES = 1>
 class Machine
 {
-    static_assert(!OBSERVE || LANE == Lane::Solo, "lanes are unobserved");
+    static_assert(LANES >= 0, "LANES is a lane count or kAnyLanes");
+    static_assert(!OBSERVE || LANES == 1, "lanes are unobserved");
 
     /** Concrete bank model for this specialization (unused for the
      *  conventional machine, where no variable is SAM-resident). */
     using Bank = std::conditional_t<KIND == SamKind::Line, LineSamBank,
                                     PointSamBank>;
 
+    /** @p PER values per lane, lane-minor: a fixed array once LANES is
+     *  known, so a solo machine keeps them as plain members. */
+    template <typename T, std::size_t PER = 1>
+    using PerLane =
+        std::conditional_t<LANES == kAnyLanes, std::vector<T>,
+                           std::array<T, PER * static_cast<std::size_t>(
+                                                   LANES)>>;
+
   public:
-    using Follower = Machine<KIND, false, Lane::Follow>;
+    /** A solo machine running @p opts. */
+    Machine(const Program &prog, const SimOptions &opts)
+        : Machine(prog, &opts, 1)
+    {
+    }
 
     /**
-     * A solo or leading machine, or with @p leaderTape a follower that
-     * replays that tape; a follower's options must share its leader's
-     * bank walk (sharesBankWalk()).
+     * One lane per entry of @p lanes[0, @p count): exactly LANES of
+     * them, or any positive number under kAnyLanes. Every lane must
+     * share the first's bank walk (sharesBankWalk()); the first lane's
+     * options configure the banks.
      */
-    Machine(const Program &prog, const SimOptions &opts,
-            const Tape *leaderTape = nullptr)
-        : prog_(prog), opts_(opts), cfg_(opts.arch),
-          magic_(cfg_.factories, cfg_.effectiveBufferCap(),
-                 cfg_.lat.msfPeriod, cfg_.lat.magicTransfer,
-                 cfg_.warmBuffer, cfg_.instantMagic),
-          replay_(leaderTape)
+    Machine(const Program &prog, const SimOptions *lanes,
+            std::size_t count)
+        : prog_(prog), opts_(lanes[0]), cfg_(opts_.arch),
+          lanes_(count)
     {
-        cfg_.validate();
-        LSQCA_ASSERT(cfg_.sam == KIND, "machine/config kind mismatch");
-        LSQCA_ASSERT((leaderTape != nullptr) == (LANE == Lane::Follow),
-                     "a follower, and only a follower, replays a tape");
+        LSQCA_ASSERT(count >= 1 && (LANES == kAnyLanes ||
+                                    count == static_cast<std::size_t>(
+                                                 LANES)),
+                     "lane count mismatch");
+        magic_.reserve(count);
+        for (std::size_t k = 0; k < count; ++k) {
+            const ArchConfig &arch = lanes[k].arch;
+            arch.validate();
+            LSQCA_ASSERT(arch.sam == KIND, "machine/config kind mismatch");
+            magic_.push_back(magicSource(arch));
+        }
+        if constexpr (LANES == kAnyLanes) {
+            barrier_.assign(count, 0);
+            rowStart_.assign(count, 0);
+            rowEnd_.assign(count, 0);
+            opcodeBeats_.assign(count * kNumOpcodes, 0);
+            execBeats_.assign(count, 0);
+            diverged_.assign(count, 0);
+        }
         setupRegions();
         setupBanks();
         // Size the ready timelines by the simulated prefix, not the
@@ -169,29 +185,25 @@ class Machine
         // per limit, so only the first job at each prefix scans the
         // stream — an O(program) scan per Machine dominated the fig14
         // sweeps. A solo machine keeps one value ready time per value
-        // id the prefix names; lanes, which run several machines at
-        // once, keep one per value slot (valueReady()). The sampled
-        // estimator's StreamIndex (16+ B per instruction) is
-        // deliberately not consulted here.
+        // id the prefix names; lanes keep one per value slot and lane
+        // (valueRow()). The sampled estimator's StreamIndex (16+ B per
+        // instruction) is deliberately not consulted here.
         const PrefixExtent extent = prog.prefixExtent(instructionLimit());
-        varReady_.assign(static_cast<std::size_t>(prog.numVariables()), 0);
+        varReady_.assign(row(prog.numVariables()), 0);
         valueSlots_ = extent.values;
         valueSlot_ = valueSlots_->slotOf.data();
-        valReady_.assign(LANE == Lane::Solo
-                             ? valueSlots_->slotOf.size()
-                             : static_cast<std::size_t>(valueSlots_->count),
+        valReady_.assign(LANES == 1 ? valueSlots_->slotOf.size()
+                                    : row(valueSlots_->count),
                          0);
         const std::int32_t max_slot =
             std::max<std::int32_t>(1, extent.maxSlot);
-        slotReady_.assign(static_cast<std::size_t>(max_slot) + 1, 0);
-        scanFree_.assign(static_cast<std::size_t>(cfg_.banks), 0);
+        slotReady_.assign(row(max_slot + 1), 0);
+        scanFree_.assign(row(cfg_.banks), 0);
     }
 
     /**
-     * Run the program. A leader runs each kLaneChunk instructions,
-     * then @p followers (lanes over its tape) replay them. Returns
-     * this lane's result; each follower's is its result(). simulate()
-     * is the one-lane case: a solo machine, no followers.
+     * Run the program and return lane 0's result; every lane's is
+     * result() after. simulate() is the one-lane case.
      *
      * Deliberately not inlined into runKind(): letting GCC merge the
      * observed and unobserved loops into one stack frame measurably
@@ -199,13 +211,12 @@ class Machine
      * conventional CX handler).
      */
     __attribute__((noinline)) SimResult
-    run(const std::vector<SimObserver *> &observers,
-        const std::vector<Follower *> &followers = {})
+    run(const std::vector<SimObserver *> &observers = {})
     {
-        static_assert(LANE != Lane::Follow, "followers replay: follow()");
-        LSQCA_ASSERT(LANE == Lane::Lead || followers.empty(),
-                     "only a leader has followers");
-        SimResult result;
+        // The lane-independent sums: instruction counts and the bank's
+        // memory beats. Accumulated in a local so they can stay in
+        // registers across the loop.
+        SimResult shared;
         const std::int64_t limit = instructionLimit();
         if constexpr (OBSERVE)
             beginObservation(observers, limit);
@@ -218,7 +229,11 @@ class Machine
                 pendingCells_.clear();
             }
             const Step step = executeOne(inst);
-            account(result, inst, step);
+            ++shared.opcodeCount[static_cast<std::size_t>(inst.op)];
+            shared.memoryBeats += step.memoryBeats;
+            // Every non-LD/ST instruction enters the CPI denominator.
+            shared.countedInstructions +=
+                inst.op != Opcode::LD && inst.op != Opcode::ST;
             if constexpr (OBSERVE) {
                 InstructionEvent event;
                 event.index = i;
@@ -243,69 +258,56 @@ class Machine
                         observer->onBankCell(cell);
                 }
             }
-            if constexpr (LANE == Lane::Lead) {
-                // After every kLaneChunk instructions, and after the
-                // last, the followers replay what the leader just ran.
-                if ((i + 1) % kLaneChunk == 0 || i + 1 == limit) {
-                    const Instruction *begin = code + (i - i % kLaneChunk);
-                    for (Follower *follower : followers)
-                        follower->follow(begin, code + i + 1);
-                    tape_.clear();
-                }
-            }
         }
         if constexpr (OBSERVE)
             endObservation();
-        finish(result);
-        return result;
+        shared_ = std::move(shared);
+        return result(0);
     }
 
-    // ---- follower lanes --------------------------------------------------
+    // ---- lanes -----------------------------------------------------------
 
-    /**
-     * Replay the chunk [@p first, @p last) the leader just ran, from
-     * its tape; a no-op once the lane has diverged.
-     */
-    __attribute__((noinline)) void
-    follow(const Instruction *first, const Instruction *last)
+    /** Lanes in this machine. */
+    std::size_t
+    lanes() const
     {
-        static_assert(LANE == Lane::Follow, "only followers replay");
-        tapePos_ = 0;
-        // Accumulate in a local, as run() does, so the sums can stay in
-        // registers across the chunk.
-        SimResult result = std::move(laneResult_);
-        for (; first != last && !diverged_; ++first) {
-            const Step step = executeOne(*first);
-            account(result, *first, step);
-        }
-        laneResult_ = std::move(result);
+        if constexpr (LANES == kAnyLanes)
+            return lanes_;
+        else
+            return static_cast<std::size_t>(LANES);
     }
 
-    /** True once this follower lost a row-parallel vote; its
+    /** True once lane @p l lost a row-parallel vote to lane 0; its
      *  timelines are void from that instruction on. */
     bool
-    diverged() const
+    diverged(std::size_t l) const
     {
-        return diverged_;
+        if constexpr (LANES == 1)
+            return false;
+        else
+            return diverged_[l] != 0;
     }
 
-    /** A follower's result after the leader's run() (not diverged). */
+    /** Lane @p l's result once run() returned (not diverged). */
     SimResult
-    result()
+    result(std::size_t l) const
     {
-        static_assert(LANE == Lane::Follow, "a leader's comes from run()");
-        LSQCA_ASSERT(!diverged_, "a diverged lane has no result");
-        SimResult result = std::move(laneResult_);
-        finish(result);
+        LSQCA_ASSERT(!diverged(l), "a diverged lane has no result");
+        SimResult result = shared_;
+        for (std::size_t op = 0; op < result.opcodeBeats.size(); ++op)
+            result.opcodeBeats[op] =
+                opcodeBeats_[row(static_cast<std::int64_t>(op)) + l];
+        result.execBeats = execBeats_[l];
+        result.floorplan = floorplan();
+        result.instructionsSimulated = instructionLimit();
+        result.cpi = result.countedInstructions == 0
+                         ? 0.0
+                         : static_cast<double>(result.execBeats) /
+                               static_cast<double>(
+                                   result.countedInstructions);
+        result.magicConsumed = magic_[l].consumed();
+        result.magicStallBeats = magic_[l].stallBeats();
         return result;
-    }
-
-    /** The tape a follower of this machine replays. */
-    const Tape &
-    tape() const
-    {
-        static_assert(LANE == Lane::Lead, "only a leader records");
-        return tape_;
     }
 
     // ---- stepwise interface (sampled estimator / harness) ---------------
@@ -413,16 +415,17 @@ class Machine
     void
     resetTimingEpoch()
     {
+        static_assert(LANES == 1, "the sampled estimator runs one lane");
         std::fill(varReady_.begin(), varReady_.end(), 0);
         std::fill(valReady_.begin(), valReady_.end(), 0);
         std::fill(slotReady_.begin(), slotReady_.end(), 0);
         std::fill(scanFree_.begin(), scanFree_.end(), 0);
-        barrier_ = 0;
+        barrier_ = {};
         rowBatch_ = RowBatch{};
-        magicStallCarry_ += magic_.stallBeats();
-        magic_ = MagicSource(cfg_.factories, cfg_.effectiveBufferCap(),
-                             cfg_.lat.msfPeriod, cfg_.lat.magicTransfer,
-                             cfg_.warmBuffer, cfg_.instantMagic);
+        rowStart_ = {};
+        rowEnd_ = {};
+        magicStallCarry_ += magic_[0].stallBeats();
+        magic_[0] = magicSource(cfg_);
     }
 
     /**
@@ -475,7 +478,8 @@ class Machine
     std::int64_t
     magicStallTotal() const
     {
-        return magicStallCarry_ + magic_.stallBeats();
+        static_assert(LANES == 1, "the sampled estimator runs one lane");
+        return magicStallCarry_ + magic_[0].stallBeats();
     }
 
     /** Floorplan accounting for this configuration (as run() reports). */
@@ -487,7 +491,7 @@ class Machine
     }
 
   private:
-    // ---- lane accounting -----------------------------------------------
+    // ---- lane layout -----------------------------------------------------
 
     std::int64_t
     instructionLimit() const
@@ -498,33 +502,20 @@ class Machine
         return limit;
     }
 
-    /** Fold one executed instruction into @p result. */
-    static void
-    account(SimResult &result, const Instruction &inst, const Step &step)
+    /** Index of lane 0's entry @p e in a lane-minor table. */
+    std::size_t
+    row(std::int64_t e) const
     {
-        const auto op_idx = static_cast<std::size_t>(inst.op);
-        ++result.opcodeCount[op_idx];
-        result.opcodeBeats[op_idx] += step.end - step.start;
-        result.memoryBeats += step.memoryBeats;
-        result.execBeats = std::max(result.execBeats, step.end);
-        // Every non-LD/ST instruction enters the CPI denominator.
-        result.countedInstructions +=
-            inst.op != Opcode::LD && inst.op != Opcode::ST;
+        return static_cast<std::size_t>(e) * lanes();
     }
 
-    /** Complete an accounted result once the last instruction ran. */
-    void
-    finish(SimResult &result) const
+    /** A lane's magic-state supply, in its configured start state. */
+    static MagicSource
+    magicSource(const ArchConfig &arch)
     {
-        result.floorplan = floorplan();
-        result.instructionsSimulated = instructionLimit();
-        result.cpi = result.countedInstructions == 0
-                         ? 0.0
-                         : static_cast<double>(result.execBeats) /
-                               static_cast<double>(
-                                   result.countedInstructions);
-        result.magicConsumed = magic_.consumed();
-        result.magicStallBeats = magic_.stallBeats();
+        return MagicSource(arch.factories, arch.effectiveBufferCap(),
+                           arch.lat.msfPeriod, arch.lat.magicTransfer,
+                           arch.warmBuffer, arch.instantMagic);
     }
 
     // ---- telemetry -----------------------------------------------------
@@ -708,8 +699,6 @@ class Machine
                 static_cast<std::int32_t>(b);
             ++next;
         }
-        if constexpr (LANE == Lane::Follow)
-            return; // a follower replays its leader's banks
         for (auto &vars : dealt)
             vars = placementOrder(std::move(vars));
         banks_.resize(static_cast<std::size_t>(cfg_.banks));
@@ -742,41 +731,10 @@ class Machine
         return b;
     }
 
-    /** @p m's bank; null on a follower, which owns none. */
     Bank *
     bank(std::int32_t m) const
     {
-        if constexpr (LANE == Lane::Follow)
-            return nullptr;
-        else
-            return banks_[static_cast<std::size_t>(bankOf(m))].get();
-    }
-
-    // Bank-derived values on lanes: a follower owns no banks and takes
-    // its leader's value (replayed() is true); any other machine
-    // derives the value from its banks, commits, and passes it through
-    // recorded(), which a leader appends to its tape. On a solo
-    // machine both are constants, so its exec paths compile to plain
-    // bank calls.
-
-    /** On a follower, @p value := its leader's next taped value. */
-    bool
-    replayed(std::int64_t &value)
-    {
-        if constexpr (LANE == Lane::Follow) {
-            value = (*replay_)[tapePos_++];
-            return true;
-        }
-        return false;
-    }
-
-    /** @p value, which a leader also appends to its tape. */
-    std::int64_t
-    recorded(std::int64_t value)
-    {
-        if constexpr (LANE == Lane::Lead)
-            tape_.push_back(value);
-        return value;
+        return banks_[static_cast<std::size_t>(bankOf(m))].get();
     }
 
     // Cost-then-commit pairs against a caller-resolved bank: each exec
@@ -786,15 +744,15 @@ class Machine
     // Each helper also owns its latency-split attribution, so every
     // exec path charges the right component without repeating itself
     // (the `if constexpr` strips it from the unobserved instantiation).
+    // A bank cost depends on the instruction stream alone, so every
+    // lane shares it: the exec paths take it once, before their lanes'
+    // timing.
 
     std::int64_t
     takeLoad(Bank *b, std::int32_t m)
     {
-        std::int64_t cost = 0;
-        if (!replayed(cost)) {
-            cost = recorded(b->loadCost(m));
-            b->commitLoad(m);
-        }
+        const std::int64_t cost = b->loadCost(m);
+        b->commitLoad(m);
         if constexpr (OBSERVE)
             split_.load += cost;
         return cost;
@@ -803,11 +761,8 @@ class Machine
     std::int64_t
     takeStore(Bank *b, std::int32_t m)
     {
-        std::int64_t cost = 0;
-        if (!replayed(cost)) {
-            cost = recorded(b->storeCost(m, cfg_.localityStore));
-            b->commitStore(m, cfg_.localityStore);
-        }
+        const std::int64_t cost = b->storeCost(m, cfg_.localityStore);
+        b->commitStore(m, cfg_.localityStore);
         if constexpr (OBSERVE)
             split_.store += cost;
         return cost;
@@ -828,20 +783,14 @@ class Machine
     takeInMem1q(Bank *b, std::int32_t m)
     {
         if constexpr (KIND == SamKind::Line) {
-            std::int64_t cost = 0;
-            if (!replayed(cost)) {
-                cost = recorded(b->alignCost(m));
-                b->commitAlign(m);
-            }
+            const std::int64_t cost = b->alignCost(m);
+            b->commitAlign(m);
             if constexpr (OBSERVE)
                 split_.align += cost;
             return cost;
         } else {
-            std::int64_t cost = 0;
-            if (!replayed(cost)) {
-                cost = recorded(b->seekCost(m));
-                b->commitSeek(m);
-            }
+            const std::int64_t cost = b->seekCost(m);
+            b->commitSeek(m);
             if constexpr (OBSERVE)
                 split_.seek += cost;
             return cost;
@@ -853,20 +802,14 @@ class Machine
     takeInMem2q(Bank *b, std::int32_t m)
     {
         if constexpr (KIND == SamKind::Line) {
-            std::int64_t cost = 0;
-            if (!replayed(cost)) {
-                cost = recorded(b->alignCost(m));
-                b->commitAlign(m);
-            }
+            const std::int64_t cost = b->alignCost(m);
+            b->commitAlign(m);
             if constexpr (OBSERVE)
                 split_.align += cost;
             return cost;
         } else {
-            std::int64_t cost = 0;
-            if (!replayed(cost)) {
-                cost = recorded(b->fetchToPortCost(m));
-                b->commitFetchToPort(m);
-            }
+            const std::int64_t cost = b->fetchToPortCost(m);
+            b->commitFetchToPort(m);
             if constexpr (OBSERVE)
                 split_.pick += cost;
             return cost;
@@ -962,45 +905,93 @@ class Machine
 
     // ---- issue helpers --------------------------------------------------
 
-    /** Consume the pending SK barrier (applies to one instruction). */
+    /** Lane @p l's pending SK barrier, consumed (it gates only the
+     *  instruction after the SK). */
     std::int64_t
-    takeBarrier()
+    takeBarrier(std::size_t l)
     {
-        const std::int64_t b = barrier_;
-        barrier_ = 0;
+        const std::int64_t b = barrier_[l];
+        barrier_[l] = 0;
         return b;
     }
 
-    /**
-     * Ready time of classical value @p v. Lanes keep it in the value's
-     * slot (ValueSlots), a few int64s per lane instead of 8 B per
-     * value; a solo machine indexes by value id and so skips the
-     * dependent slot load on every MX/MZ/SK.
-     */
-    std::int64_t &
-    valueReady(std::int32_t v)
+    // Lane rows: lane 0's ready time in each table; lane l's is l past
+    // it.
+
+    std::int64_t *
+    varRow(std::int32_t m)
     {
-        const auto id = static_cast<std::size_t>(v);
-        if constexpr (LANE == Lane::Solo)
-            return valReady_[id];
-        else
-            return valReady_[static_cast<std::size_t>(valueSlot_[id])];
+        return varReady_.data() + row(m);
     }
 
-    std::int64_t &
-    scanFree(std::int32_t m)
+    std::int64_t *
+    slotRow(std::int32_t c)
     {
-        return scanFree_[static_cast<std::size_t>(bankOf(m))];
+        return slotReady_.data() + row(c);
+    }
+
+    std::int64_t *
+    scanRow(std::int32_t m)
+    {
+        return scanFree_.data() + row(bankOf(m));
+    }
+
+    /**
+     * Ready times of classical value @p v. Lanes keep them in the
+     * value's slot (ValueSlots), a few int64s per lane instead of 8 B
+     * per value; a solo machine indexes by value id and so skips the
+     * dependent slot load on every MX/MZ/SK.
+     */
+    std::int64_t *
+    valueRow(std::int32_t v)
+    {
+        if constexpr (LANES == 1)
+            return valReady_.data() + v;
+        else
+            return valReady_.data() +
+                   row(valueSlot_[static_cast<std::size_t>(v)]);
+    }
+
+    /** One lane's issue and completion beats for an instruction. */
+    struct Span
+    {
+        std::int64_t start;
+        std::int64_t end;
+    };
+
+    /**
+     * The timing half of an exec path: @p span(l) advances lane l's
+     * timelines past @p inst and returns when it ran, and each lane's
+     * beats are accounted here. @p memory is the bank's motion, which
+     * every lane shares. Returns the last lane's step: a solo
+     * machine's only one.
+     */
+    template <typename F>
+    Step
+    eachLane(const Instruction &inst, std::int64_t memory, F &&span)
+    {
+        Step step;
+        const std::size_t beats = row(static_cast<std::int64_t>(inst.op));
+        for (std::size_t l = 0; l < lanes(); ++l) {
+            const Span ran = span(l);
+            opcodeBeats_[beats + l] += ran.end - ran.start;
+            execBeats_[l] = maxOf(execBeats_[l], ran.end);
+            step = {ran.start, ran.end, memory};
+        }
+        return step;
     }
 
     // ---- per-opcode execution -------------------------------------------
+    //
+    // Each path decodes its instruction and takes its bank costs once,
+    // then runs eachLane() over the lanes' timelines.
 
     Step
     execute(const Instruction &inst)
     {
         switch (inst.op) {
-          case Opcode::LD: return execLoad(inst);
-          case Opcode::ST: return execStore(inst);
+          case Opcode::LD: return execLoadStore<true>(inst);
+          case Opcode::ST: return execLoadStore<false>(inst);
           case Opcode::PZ_C:
           case Opcode::PP_C: return execPrepC(inst);
           case Opcode::PM: return execMagic(inst);
@@ -1025,133 +1016,136 @@ class Machine
         throw InternalError("unhandled opcode");
     }
 
+    /** LD and ST: one register slot and one variable. */
+    template <bool LOAD>
     Step
-    execLoad(const Instruction &inst)
+    execLoadStore(const Instruction &inst)
     {
-        auto &slot = slotReady_[static_cast<std::size_t>(inst.c0)];
-        auto &var = varReady_[static_cast<std::size_t>(inst.m0)];
+        std::int64_t *slot = slotRow(inst.c0);
+        std::int64_t *var = varRow(inst.m0);
         if (isConv(inst.m0)) {
             // Conventional-region qubits are always register-adjacent.
-            const std::int64_t start =
-                maxOf(var, slot, takeBarrier());
-            var = slot = start;
-            return {start, start, 0};
+            return eachLane(inst, 0, [&](std::size_t l) {
+                const std::int64_t start =
+                    maxOf(var[l], slot[l], takeBarrier(l));
+                var[l] = slot[l] = start;
+                return Span{start, start};
+            });
         }
-        auto &scan = scanFree(inst.m0);
-        const std::int64_t start =
-            maxOf(var, slot, scan, takeBarrier());
-        const std::int64_t cost =
-            takeLoad(bank(inst.m0), inst.m0);
-        const std::int64_t end = start + cost;
-        var = slot = scan = end;
-        return {start, end, cost};
-    }
-
-    Step
-    execStore(const Instruction &inst)
-    {
-        auto &slot = slotReady_[static_cast<std::size_t>(inst.c0)];
-        auto &var = varReady_[static_cast<std::size_t>(inst.m0)];
-        if (isConv(inst.m0)) {
+        std::int64_t *scan = scanRow(inst.m0);
+        const std::int64_t cost = LOAD ? takeLoad(bank(inst.m0), inst.m0)
+                                       : takeStore(bank(inst.m0), inst.m0);
+        return eachLane(inst, cost, [&](std::size_t l) {
             const std::int64_t start =
-                maxOf(var, slot, takeBarrier());
-            var = slot = start;
-            return {start, start, 0};
-        }
-        auto &scan = scanFree(inst.m0);
-        const std::int64_t start =
-            maxOf(var, slot, scan, takeBarrier());
-        const std::int64_t cost =
-            takeStore(bank(inst.m0), inst.m0);
-        const std::int64_t end = start + cost;
-        var = slot = scan = end;
-        return {start, end, cost};
+                maxOf(var[l], slot[l], scan[l], takeBarrier(l));
+            const std::int64_t end = start + cost;
+            var[l] = slot[l] = scan[l] = end;
+            return Span{start, end};
+        });
     }
 
     Step
     execPrepC(const Instruction &inst)
     {
-        auto &slot = slotReady_[static_cast<std::size_t>(inst.c0)];
-        const std::int64_t start = std::max(slot, takeBarrier());
-        slot = start;
-        return {start, start, 0};
+        std::int64_t *slot = slotRow(inst.c0);
+        return eachLane(inst, 0, [&](std::size_t l) {
+            const std::int64_t start = std::max(slot[l], takeBarrier(l));
+            slot[l] = start;
+            return Span{start, start};
+        });
     }
 
     Step
     execMagic(const Instruction &inst)
     {
-        auto &slot = slotReady_[static_cast<std::size_t>(inst.c0)];
-        const std::int64_t req = std::max(slot, takeBarrier());
-        const MagicSource::Grant grant = magic_.acquire(req);
-        slot = grant.end;
+        std::int64_t *slot = slotRow(inst.c0);
         ++pmExecuted_;
-        if constexpr (OBSERVE)
-            split_.magicStall += grant.start - req;
-        return {grant.start, grant.end, 0};
+        return eachLane(inst, 0, [&](std::size_t l) {
+            const std::int64_t req = std::max(slot[l], takeBarrier(l));
+            const MagicSource::Grant grant = magic_[l].acquire(req);
+            slot[l] = grant.end;
+            if constexpr (OBSERVE)
+                split_.magicStall += grant.start - req;
+            return Span{grant.start, grant.end};
+        });
     }
 
     Step
     execUnitaryC(const Instruction &inst)
     {
-        auto &slot = slotReady_[static_cast<std::size_t>(inst.c0)];
-        const std::int64_t start = std::max(slot, takeBarrier());
+        std::int64_t *slot = slotRow(inst.c0);
         const std::int64_t beats = inst.op == Opcode::HD_C
                                        ? cfg_.lat.hadamard
                                        : cfg_.lat.phase;
-        const std::int64_t end = start + beats;
-        slot = end;
         if constexpr (OBSERVE)
             split_.compute += beats;
-        return {start, end, 0};
+        return eachLane(inst, 0, [&](std::size_t l) {
+            const std::int64_t start = std::max(slot[l], takeBarrier(l));
+            const std::int64_t end = start + beats;
+            slot[l] = end;
+            return Span{start, end};
+        });
     }
 
     Step
     execMeasC(const Instruction &inst)
     {
-        auto &slot = slotReady_[static_cast<std::size_t>(inst.c0)];
-        const std::int64_t start = std::max(slot, takeBarrier());
-        slot = start;
-        valueReady(inst.v0) = start;
-        return {start, start, 0};
+        std::int64_t *slot = slotRow(inst.c0);
+        std::int64_t *value = valueRow(inst.v0);
+        return eachLane(inst, 0, [&](std::size_t l) {
+            const std::int64_t start = std::max(slot[l], takeBarrier(l));
+            slot[l] = start;
+            value[l] = start;
+            return Span{start, start};
+        });
     }
 
     Step
     execMeas2C(const Instruction &inst)
     {
-        auto &slot0 = slotReady_[static_cast<std::size_t>(inst.c0)];
-        auto &slot1 = slotReady_[static_cast<std::size_t>(inst.c1)];
-        const std::int64_t start =
-            maxOf(slot0, slot1, takeBarrier());
-        const std::int64_t end = start + cfg_.lat.surgery;
-        slot0 = slot1 = end;
-        valueReady(inst.v0) = end;
+        std::int64_t *slot0 = slotRow(inst.c0);
+        std::int64_t *slot1 = slotRow(inst.c1);
+        std::int64_t *value = valueRow(inst.v0);
+        const std::int64_t surgery = cfg_.lat.surgery;
         if constexpr (OBSERVE)
-            split_.surgery += cfg_.lat.surgery;
-        return {start, end, 0};
+            split_.surgery += surgery;
+        return eachLane(inst, 0, [&](std::size_t l) {
+            const std::int64_t start =
+                maxOf(slot0[l], slot1[l], takeBarrier(l));
+            const std::int64_t end = start + surgery;
+            slot0[l] = slot1[l] = end;
+            value[l] = end;
+            return Span{start, end};
+        });
     }
 
     Step
     execSkip(const Instruction &inst)
     {
-        const std::int64_t start =
-            std::max(valueReady(inst.v0),
-                     takeBarrier());
-        const std::int64_t end = start + cfg_.lat.skWait;
-        barrier_ = end; // gates only the next instruction
+        std::int64_t *value = valueRow(inst.v0);
+        const std::int64_t wait = cfg_.lat.skWait;
         if constexpr (OBSERVE)
-            split_.skWait += cfg_.lat.skWait;
-        return {start, end, 0};
+            split_.skWait += wait;
+        return eachLane(inst, 0, [&](std::size_t l) {
+            const std::int64_t start = std::max(value[l], takeBarrier(l));
+            const std::int64_t end = start + wait;
+            barrier_[l] = end; // gates only the next instruction
+            return Span{start, end};
+        });
     }
 
     Step
     execZeroLatM(const Instruction &inst)
     {
-        auto &var = varReady_[static_cast<std::size_t>(inst.m0)];
-        const std::int64_t start = std::max(var, takeBarrier());
-        var = start;
-        if (inst.v0 >= 0)
-            valueReady(inst.v0) = start;
-        return {start, start, 0};
+        std::int64_t *var = varRow(inst.m0);
+        std::int64_t *value = inst.v0 >= 0 ? valueRow(inst.v0) : nullptr;
+        return eachLane(inst, 0, [&](std::size_t l) {
+            const std::int64_t start = std::max(var[l], takeBarrier(l));
+            var[l] = start;
+            if (value != nullptr)
+                value[l] = start;
+            return Span{start, start};
+        });
     }
 
     Step
@@ -1160,122 +1154,137 @@ class Machine
         const std::int64_t beats = inst.op == Opcode::HD_M
                                        ? cfg_.lat.hadamard
                                        : cfg_.lat.phase;
-        auto &var = varReady_[static_cast<std::size_t>(inst.m0)];
+        std::int64_t *var = varRow(inst.m0);
         if (isConv(inst.m0)) {
-            const std::int64_t start = std::max(var, takeBarrier());
-            const std::int64_t end = start + beats;
-            var = end;
             if constexpr (OBSERVE)
                 split_.compute += beats;
-            return {start, end, 0};
+            return eachLane(inst, 0, [&](std::size_t l) {
+                const std::int64_t start = std::max(var[l], takeBarrier(l));
+                const std::int64_t end = start + beats;
+                var[l] = end;
+                return Span{start, end};
+            });
         }
-        auto &scan = scanFree(inst.m0);
+        std::int64_t *scan = scanRow(inst.m0);
         Bank *b = bank(inst.m0);
 
         // Row-parallel unitaries (Sec. V-C): a second H/S whose target
         // shares the currently-open gap-row window executes in the same
         // window for free. Line SAM only — the branch vanishes from the
         // point/conventional instantiations. The window test reads
-        // timing, so it is the lane vote (file comment): a follower
-        // whose test disagrees with its leader's has diverged.
-        std::int32_t row = -1;
+        // timing, so it is the lane vote (file comment): lane 0's
+        // decides for every lane, and a lane whose test disagrees has
+        // diverged.
+        std::int32_t target_row = -1;
+        const bool batching = KIND == SamKind::Line &&
+                              cfg_.rowParallelOps && cfg_.inMemoryOps;
         if constexpr (KIND == SamKind::Line) {
-            if (cfg_.rowParallelOps && cfg_.inMemoryOps) {
-                std::int64_t at = 0;
-                if (!replayed(at))
-                    at = recorded(b->positionOf(inst.m0).row);
-                row = static_cast<std::int32_t>(at);
-                const bool window =
-                    barrier_ == 0 && rowBatch_.valid &&
-                    rowBatch_.op == inst.op &&
-                    rowBatch_.bank == bankOf(inst.m0) &&
-                    row == rowBatch_.row && var <= rowBatch_.start;
-                std::int64_t vote = 0;
-                if (!replayed(vote))
-                    vote = recorded(window);
-                if (vote != window) {
-                    diverged_ = true;
-                    return {};
-                }
+            if (batching) {
+                target_row = b->positionOf(inst.m0).row;
+                const bool open = rowBatch_.valid &&
+                                  rowBatch_.op == inst.op &&
+                                  rowBatch_.bank == bankOf(inst.m0) &&
+                                  target_row == rowBatch_.row;
+                const auto joins = [&](std::size_t l) {
+                    return open && barrier_[l] == 0 &&
+                           var[l] <= rowStart_[l];
+                };
+                const bool window = joins(0);
+                for (std::size_t l = 1; l < lanes(); ++l)
+                    if (joins(l) != window)
+                        diverged_[l] = 1;
                 if (window) {
-                    var = rowBatch_.end;
                     // A shared window: no split components — the
                     // motion and compute were charged to the opener.
-                    return {rowBatch_.start, rowBatch_.end, 0};
+                    return eachLane(inst, 0, [&](std::size_t l) {
+                        var[l] = rowEnd_[l];
+                        return Span{rowStart_[l], rowEnd_[l]};
+                    });
                 }
             }
         }
 
-        const std::int64_t start = maxOf(var, scan, takeBarrier());
         const std::int64_t motion =
             cfg_.inMemoryOps ? takeInMem1q(b, inst.m0)
                              : takeRoundTrip(b, inst.m0);
-        const std::int64_t end = start + motion + beats;
-        var = scan = end;
         if constexpr (OBSERVE)
             split_.compute += beats;
-        if constexpr (KIND == SamKind::Line) {
+        if (batching) {
             // The align moved the gap, not the target: row still holds.
-            if (cfg_.rowParallelOps && cfg_.inMemoryOps) {
-                rowBatch_ = {true, inst.op, bankOf(inst.m0), row,
-                             start + motion, end};
-            }
+            rowBatch_ = {true, inst.op, bankOf(inst.m0), target_row};
         }
-        return {start, end, motion};
+        return eachLane(inst, motion, [&](std::size_t l) {
+            const std::int64_t start =
+                maxOf(var[l], scan[l], takeBarrier(l));
+            const std::int64_t end = start + motion + beats;
+            var[l] = scan[l] = end;
+            if (batching) {
+                rowStart_[l] = start + motion;
+                rowEnd_[l] = end;
+            }
+            return Span{start, end};
+        });
     }
 
     Step
     execMeas2M(const Instruction &inst)
     {
-        auto &slot = slotReady_[static_cast<std::size_t>(inst.c0)];
-        auto &var = varReady_[static_cast<std::size_t>(inst.m0)];
+        std::int64_t *slot = slotRow(inst.c0);
+        std::int64_t *var = varRow(inst.m0);
+        std::int64_t *value = valueRow(inst.v0);
+        const std::int64_t surgery = cfg_.lat.surgery;
+        if constexpr (OBSERVE)
+            split_.surgery += surgery;
         if (isConv(inst.m0)) {
-            const std::int64_t start =
-                maxOf(var, slot, takeBarrier());
-            const std::int64_t end = start + cfg_.lat.surgery;
-            var = slot = end;
-            valueReady(inst.v0) = end;
-            if constexpr (OBSERVE)
-                split_.surgery += cfg_.lat.surgery;
-            return {start, end, 0};
+            return eachLane(inst, 0, [&](std::size_t l) {
+                const std::int64_t start =
+                    maxOf(var[l], slot[l], takeBarrier(l));
+                const std::int64_t end = start + surgery;
+                var[l] = slot[l] = end;
+                value[l] = end;
+                return Span{start, end};
+            });
         }
         // Concealment (Fig. 1): the scan motion starts as soon as the
         // operand and the scan cell are free; the lattice surgery then
         // begins once BOTH the positioned operand and the CR-side state
         // (e.g. the magic state PM is fetching) are ready. The memory
         // latency hides behind the magic-state wait.
-        auto &scan = scanFree(inst.m0);
+        std::int64_t *scan = scanRow(inst.m0);
         Bank *b = bank(inst.m0);
-        const std::int64_t motion_start =
-            maxOf(var, scan, takeBarrier());
-        std::int64_t motion;
-        if constexpr (OBSERVE)
-            split_.surgery += cfg_.lat.surgery;
         if (cfg_.inMemoryOps) {
-            motion = takeInMem2q(b, inst.m0);
-            const std::int64_t surgery_start =
-                std::max(motion_start + motion, slot);
-            const std::int64_t end = surgery_start + cfg_.lat.surgery;
-            var = slot = end;
-            // Point SAM: the operand is parked at the port, so the scan
-            // is free to serve other requests during the magic wait;
-            // line SAM must keep the gap row aligned (it is the merge
-            // path) until the surgery completes.
-            if constexpr (KIND == SamKind::Point)
-                scan = motion_start + motion;
-            else
-                scan = end;
-            valueReady(inst.v0) = end;
-            return {motion_start, end, motion};
+            const std::int64_t motion = takeInMem2q(b, inst.m0);
+            return eachLane(inst, motion, [&](std::size_t l) {
+                const std::int64_t motion_start =
+                    maxOf(var[l], scan[l], takeBarrier(l));
+                const std::int64_t surgery_start =
+                    std::max(motion_start + motion, slot[l]);
+                const std::int64_t end = surgery_start + surgery;
+                var[l] = slot[l] = end;
+                // Point SAM: the operand is parked at the port, so the
+                // scan is free to serve other requests during the magic
+                // wait; line SAM must keep the gap row aligned (it is
+                // the merge path) until the surgery completes.
+                if constexpr (KIND == SamKind::Point)
+                    scan[l] = motion_start + motion;
+                else
+                    scan[l] = end;
+                value[l] = end;
+                return Span{motion_start, end};
+            });
         }
-        motion = takeLoad(b, inst.m0);
+        const std::int64_t motion = takeLoad(b, inst.m0);
         const std::int64_t st = takeStore(b, inst.m0);
-        const std::int64_t surgery_start =
-            std::max(motion_start + motion, slot);
-        const std::int64_t end = surgery_start + cfg_.lat.surgery + st;
-        var = slot = scan = end;
-        valueReady(inst.v0) = end;
-        return {motion_start, end, motion + st};
+        return eachLane(inst, motion + st, [&](std::size_t l) {
+            const std::int64_t motion_start =
+                maxOf(var[l], scan[l], takeBarrier(l));
+            const std::int64_t surgery_start =
+                std::max(motion_start + motion, slot[l]);
+            const std::int64_t end = surgery_start + surgery + st;
+            var[l] = slot[l] = scan[l] = end;
+            value[l] = end;
+            return Span{motion_start, end};
+        });
     }
 
     /**
@@ -1287,8 +1296,8 @@ class Machine
     Step
     execCxCz(const Instruction &inst)
     {
-        auto &var0 = varReady_[static_cast<std::size_t>(inst.m0)];
-        auto &var1 = varReady_[static_cast<std::size_t>(inst.m1)];
+        std::int64_t *var0 = varRow(inst.m0);
+        std::int64_t *var1 = varRow(inst.m1);
         const std::int64_t surgery2 = 2 * cfg_.lat.surgery;
         const bool conv0 = isConv(inst.m0);
         const bool conv1 = isConv(inst.m1);
@@ -1296,38 +1305,45 @@ class Machine
             split_.surgery += surgery2;
 
         if (conv0 && conv1) {
-            const std::int64_t start =
-                maxOf(var0, var1, takeBarrier());
-            const std::int64_t end = start + surgery2;
-            var0 = var1 = end;
-            return {start, end, 0};
+            return eachLane(inst, 0, [&](std::size_t l) {
+                const std::int64_t start =
+                    maxOf(var0[l], var1[l], takeBarrier(l));
+                const std::int64_t end = start + surgery2;
+                var0[l] = var1[l] = end;
+                return Span{start, end};
+            });
         }
 
         if (conv0 != conv1) {
             const std::int32_t q = conv0 ? inst.m1 : inst.m0;
-            auto &scan = scanFree(q);
+            std::int64_t *scan = scanRow(q);
             Bank *b = bank(q);
-            const std::int64_t start =
-                maxOf(var0, var1, scan, takeBarrier());
             const std::int64_t motion =
                 cfg_.inMemoryOps ? takeInMem2q(b, q)
                                  : takeRoundTrip(b, q);
-            const std::int64_t end = start + motion + surgery2;
-            var0 = var1 = scan = end;
-            return {start, end, motion};
+            return eachLane(inst, motion, [&](std::size_t l) {
+                const std::int64_t start =
+                    maxOf(var0[l], var1[l], scan[l], takeBarrier(l));
+                const std::int64_t end = start + motion + surgery2;
+                var0[l] = var1[l] = scan[l] = end;
+                return Span{start, end};
+            });
         }
 
-        // Both operands live in SAM.
-        auto &scan0 = scanFree(inst.m0);
-        auto &scan1 = scanFree(inst.m1);
+        // Both operands live in SAM. Every case below costs its banks
+        // first; then each lane starts once both operands and both
+        // scans are free, runs for `length` beats, and releases each
+        // scan `hold0` / `hold1` beats after its start.
+        std::int64_t *scan0 = scanRow(inst.m0);
+        std::int64_t *scan1 = scanRow(inst.m1);
         Bank *bank0 = bank(inst.m0);
         Bank *bank1 = bank(inst.m1);
         const bool same_bank = bankOf(inst.m0) == bankOf(inst.m1);
-        const std::int64_t start =
-            maxOf(var0, var1, scan0, scan1, takeBarrier());
-
         std::int64_t motion;
-        std::int64_t end;
+        std::int64_t length;
+        std::int64_t hold0;
+        std::int64_t hold1;
+
         if (!cfg_.inMemoryOps) {
             // Ablation: round-trip both operands through the CR.
             const std::int64_t ld0 = takeLoad(bank0, inst.m0);
@@ -1335,46 +1351,30 @@ class Machine
             const std::int64_t st0 = takeStore(bank0, inst.m0);
             const std::int64_t st1 = takeStore(bank1, inst.m1);
             motion = ld0 + ld1 + st0 + st1;
-            if (same_bank) {
-                end = start + motion + surgery2;
-            } else {
-                end = start + std::max(ld0, ld1) + surgery2 +
-                      std::max(st0, st1);
-                scan1 = end;
-            }
-            scan0 = end;
-            var0 = var1 = end;
-            return {start, end, motion};
-        }
-
-        if (same_bank) {
+            length = same_bank ? motion + surgery2
+                               : std::max(ld0, ld1) + surgery2 +
+                                     std::max(st0, st1);
+            hold0 = hold1 = length;
+        } else if (same_bank) {
             if constexpr (KIND != SamKind::Line) {
                 // Drag both operands to the port region (they stay in
                 // memory; locality makes later touches cheap). The
                 // port-side surgery itself does not occupy the scan.
                 motion = takeInMem2q(bank0, inst.m0);
                 motion += takeInMem2q(bank0, inst.m1);
-                end = start + motion + surgery2;
-                scan0 = start + motion;
-                var0 = var1 = end;
-                return {start, end, motion};
+                length = motion + surgery2;
+                hold0 = hold1 = motion;
             } else {
                 Bank *b = bank0;
-                std::int64_t direct = 0;
-                if (cfg_.directSurgery && !replayed(direct))
-                    direct = recorded(b->canDirectSurgery(inst.m0, inst.m1));
-                if (direct) {
+                if (cfg_.directSurgery &&
+                    b->canDirectSurgery(inst.m0, inst.m1)) {
                     // Extension: lattice surgery straight between two
                     // data cells sharing a line; only the gap
                     // repositions.
-                    if (!replayed(motion)) {
-                        motion = recorded(
-                            b->directSurgeryCost(inst.m0, inst.m1));
-                        b->commitDirectSurgery(inst.m0, inst.m1);
-                    }
+                    motion = b->directSurgeryCost(inst.m0, inst.m1);
+                    b->commitDirectSurgery(inst.m0, inst.m1);
                     if constexpr (OBSERVE)
                         split_.align += motion;
-                    end = start + motion + surgery2;
                 } else {
                     // Sec. VI-A translation rule: load the cheaper
                     // operand into the CR, touch the other in memory,
@@ -1383,30 +1383,24 @@ class Machine
                     // line (Sec. V-B pairing). Each operand's load cost
                     // is computed once and reused for both the
                     // comparison and the commit path.
-                    std::int64_t ld0 = 0;
-                    std::int64_t ld1 = 0;
-                    if (!replayed(ld0))
-                        ld0 = recorded(b->loadCost(inst.m0));
-                    if (!replayed(ld1))
-                        ld1 = recorded(b->loadCost(inst.m1));
+                    const std::int64_t ld0 = b->loadCost(inst.m0);
+                    const std::int64_t ld1 = b->loadCost(inst.m1);
                     const bool load0 = ld0 <= ld1;
                     const std::int32_t loaded =
                         load0 ? inst.m0 : inst.m1;
                     const std::int32_t in_mem =
                         load0 ? inst.m1 : inst.m0;
                     const std::int64_t ld = load0 ? ld0 : ld1;
-                    if constexpr (LANE != Lane::Follow)
-                        b->commitLoad(loaded); // a follower owns no banks
+                    b->commitLoad(loaded);
                     if constexpr (OBSERVE)
                         split_.load += ld;
-                    const std::int64_t pos =
-                        takeInMem2q(b, in_mem);
+                    const std::int64_t pos = takeInMem2q(b, in_mem);
                     const std::int64_t st = takeStore(b, loaded);
                     motion = ld + pos + st;
-                    end = start + motion + surgery2;
                 }
+                length = motion + surgery2;
+                hold0 = hold1 = length;
             }
-            scan0 = end;
         } else {
             // Cross-bank: each bank positions its operand concurrently;
             // the merge path runs through the CR ports. Point scans are
@@ -1414,48 +1408,61 @@ class Machine
             const std::int64_t pos0 = takeInMem2q(bank0, inst.m0);
             const std::int64_t pos1 = takeInMem2q(bank1, inst.m1);
             motion = pos0 + pos1;
-            end = start + std::max(pos0, pos1) + surgery2;
-            if constexpr (KIND == SamKind::Point) {
-                scan0 = start + pos0;
-                scan1 = start + pos1;
-            } else {
-                scan0 = end;
-                scan1 = end;
-            }
+            length = std::max(pos0, pos1) + surgery2;
+            hold0 = KIND == SamKind::Point ? pos0 : length;
+            hold1 = KIND == SamKind::Point ? pos1 : length;
         }
-        var0 = var1 = end;
-        return {start, end, motion};
+        return eachLane(inst, motion, [&](std::size_t l) {
+            const std::int64_t start = maxOf(var0[l], var1[l], scan0[l],
+                                             scan1[l], takeBarrier(l));
+            const std::int64_t end = start + length;
+            var0[l] = var1[l] = end;
+            scan1[l] = start + hold1;
+            scan0[l] = start + hold0;
+            return Span{start, end};
+        });
     }
 
     const Program &prog_;
-    SimOptions opts_;
-    ArchConfig cfg_;
-    MagicSource magic_;
+    SimOptions opts_;  ///< lane 0's
+    ArchConfig cfg_;   ///< lane 0's: the bank walk's
+    std::size_t lanes_; ///< under kAnyLanes; else LANES
+    std::vector<MagicSource> magic_; ///< one per lane
 
     std::vector<Region> region_;
     std::vector<std::int32_t> bankOf_;
     std::int64_t numConventional_ = 0;
     std::vector<std::unique_ptr<Bank>> banks_;
 
-    /** An open row-parallel unitary window (line SAM, Sec. V-C). */
+    /**
+     * An open row-parallel unitary window (line SAM, Sec. V-C); each
+     * lane's window opens at rowStart_ and closes at rowEnd_.
+     */
     struct RowBatch
     {
         bool valid = false;
         Opcode op = Opcode::HD_M;
         std::int32_t bank = -1;
         std::int32_t row = -1;
-        std::int64_t start = 0;
-        std::int64_t end = 0;
     };
 
+    // Lane-minor timelines (file comment, "Lanes").
     std::vector<std::int64_t> varReady_;
     std::shared_ptr<const ValueSlots> valueSlots_;
     const std::int32_t *valueSlot_ = nullptr; ///< valueSlots_->slotOf
-    std::vector<std::int64_t> valReady_;      ///< see valueReady()
+    std::vector<std::int64_t> valReady_;      ///< see valueRow()
     std::vector<std::int64_t> slotReady_;
     std::vector<std::int64_t> scanFree_;
-    std::int64_t barrier_ = 0;
+    PerLane<std::int64_t> barrier_{};
     RowBatch rowBatch_;
+    PerLane<std::int64_t> rowStart_{};
+    PerLane<std::int64_t> rowEnd_{};
+
+    // Per-lane accounting; shared_ holds run()'s lane-independent sums.
+    PerLane<std::int64_t, kNumOpcodes> opcodeBeats_{};
+    PerLane<std::int64_t> execBeats_{};
+    PerLane<std::uint8_t> diverged_{};
+    SimResult shared_;
 
     /** PM instructions executed, detailed or fast-forwarded; unlike
      *  MagicSource::consumed() it survives resetTimingEpoch() and
@@ -1463,14 +1470,6 @@ class Machine
     std::int64_t pmExecuted_ = 0;
     /** Stall beats from magic sources retired by resetTimingEpoch(). */
     std::int64_t magicStallCarry_ = 0;
-
-    // Lane state. A leader records tape_; a follower replays *replay_
-    // from tapePos_, accounts into laneResult_ and stops once diverged_.
-    Tape tape_;
-    const Tape *replay_ = nullptr;
-    std::size_t tapePos_ = 0;
-    bool diverged_ = false;
-    SimResult laneResult_;
 
     // Telemetry state, touched only by the OBSERVE instantiation.
     LatencySplit split_;

@@ -1,6 +1,5 @@
 #include "sim/simulator.h"
 
-#include <memory>
 #include <vector>
 
 #include "common/error.h"
@@ -23,28 +22,22 @@ runKind(const Program &program, const SimOptions &options,
     return detail::Machine<KIND, true>(program, options).run(observers);
 }
 
-/** The leader walks the banks; every other lane follows its tape. */
+/** One machine walks the banks for every lane; a lane that lost a
+ *  row-parallel vote to lane 0 runs again alone. */
 template <SamKind KIND>
 LaneResults
 runLanes(const Program &program, const std::vector<SimOptions> &lanes)
 {
-    using Leader = detail::Machine<KIND, false, detail::Lane::Lead>;
-    Leader leader(program, lanes.front());
-    std::vector<std::unique_ptr<typename Leader::Follower>> followers;
-    std::vector<typename Leader::Follower *> stepping;
-    for (std::size_t k = 1; k < lanes.size(); ++k) {
-        followers.push_back(std::make_unique<typename Leader::Follower>(
-            program, lanes[k], &leader.tape()));
-        stepping.push_back(followers.back().get());
-    }
+    detail::Machine<KIND, false, detail::kAnyLanes> machine(
+        program, lanes.data(), lanes.size());
+    machine.run();
     LaneResults out;
-    out.results.push_back(leader.run({}, stepping));
-    for (std::size_t k = 1; k < lanes.size(); ++k) {
-        if (!followers[k - 1]->diverged()) {
-            out.results.push_back(followers[k - 1]->result());
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+        if (!machine.diverged(l)) {
+            out.results.push_back(machine.result(l));
             continue;
         }
-        out.results.push_back(simulate(program, lanes[k]));
+        out.results.push_back(simulate(program, lanes[l]));
         ++out.fallbacks;
     }
     return out;

@@ -23,8 +23,9 @@
  *
  * SAM jobs that differ only in magic-state supply run as lanes of one
  * bank walk (simulateLanes()): bank costs depend on the instruction
- * stream alone, so one leader walks the banks and every lane keeps its
- * own timelines. Results are exactly those of simulate() per lane.
+ * stream alone, so one machine costs each instruction against its
+ * banks once and runs only the timing once per lane. Results are
+ * exactly those of simulate() per lane.
  */
 
 #include <vector>
@@ -100,15 +101,15 @@ struct LaneResults
 {
     /** One result per lane, in lane order. */
     std::vector<SimResult> results;
-    /** Lanes whose row-parallel window vote disagreed with the
-     *  leader's; each was re-simulated alone after the shared walk. */
+    /** Lanes whose row-parallel window vote disagreed with the first
+     *  lane's; each was re-simulated alone after the shared walk. */
     std::int32_t fallbacks = 0;
 };
 
 /**
  * simulate() for every entry of @p lanes over one shared bank walk;
  * each result equals simulate(program, lanes[k]) bit for bit. The
- * first lane leads: its row-parallel window decisions drive the banks
+ * first lane's row-parallel window decisions drive the banks
  * (sim/machine.h, "Lanes"). One lane is simulate() itself.
  *
  * @throws ConfigError unless every lane sharesBankWalk() with the

@@ -41,7 +41,8 @@ bucketOf(const SweepJob &job)
 }
 
 /** Jobs over one program that share a bank walk (sharesBankWalk),
- *  each group in submission order, so its first submitted job leads. */
+ *  each group in submission order, so its first submitted job is
+ *  lane 0, whose row-parallel votes drive the walk. */
 std::vector<std::vector<std::size_t>>
 laneGroups(const std::vector<SweepJob> &jobs)
 {
