@@ -3,7 +3,16 @@
  * Lockstep lanes (simulateLanes): jobs that differ only in magic-state
  * supply share one bank walk, and every lane's result equals a solo
  * simulate() bit for bit, including a lane whose row-parallel window
- * vote loses to its leader's and is re-simulated alone.
+ * vote loses to the first lane's and is re-simulated alone.
+ *
+ * The *Differential* suites draw seeded random programs, point- and
+ * line-SAM machines (banks, hybrid fraction, in-memory ops, locality
+ * store, direct surgery, row-parallel ops, placement, instruction
+ * prefix) and 2-6 lanes over each that differ in magic-state supply
+ * (factories, buffer capacity, warm start, instant magic, factory
+ * period, transfer latency). They run 8 seeds; the fuzz-labelled ctest
+ * entry re-runs them with LSQCA_FUZZ_SEEDS=64 (see CMakeLists.txt and
+ * the CI `ctest -L fuzz` step).
  */
 
 #include "sim/simulator.h"
@@ -11,11 +20,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "../circuit/random_macro_circuit.h"
 #include "circuit/lowering.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "isa/assembler.h"
 #include "synth/benchmarks.h"
 #include "translate/translate.h"
@@ -179,7 +192,7 @@ TEST(SimulateLanes, LostWindowVoteFallsBackToASoloRun)
     // SK barrier clears at beat 0, so HD.M m1 joins the window HD.M m0
     // opened (3 beats). With a cold buffer the PM waits 200 beats, the
     // barrier holds MZ.M m1 back, and HD.M m1 opens its own window
-    // (204 beats). The window vote disagrees whichever lane leads.
+    // (204 beats). The window vote disagrees whichever lane is first.
     const Program program = assemble("; lsqca program: 4 variables\n"
                                      "PM c0\n"
                                      "MX.C c0 -> v0\n"
@@ -327,6 +340,139 @@ TEST(SimulateLanes, EveryValueOperandButSkIsWrittenBeforeItIsRead)
         expectIdentical(run.results[1], simulate(program, twoFactories));
     }
 }
+
+/** Seeds per suite (LSQCA_FUZZ_SEEDS overrides 8). */
+int
+fuzzSeedCount()
+{
+    if (const char *env = std::getenv("LSQCA_FUZZ_SEEDS")) {
+        const int n = std::atoi(env);
+        if (n >= 1 && n <= 65536)
+            return n;
+    }
+    return 8;
+}
+
+/** A random point- or line-SAM machine, with @p program's prefix. */
+SimOptions
+randomMachine(Rng &rng, const Program &program)
+{
+    SimOptions o;
+    o.arch.sam = rng.chance(0.5) ? SamKind::Point : SamKind::Line;
+    o.arch.banks = static_cast<std::int32_t>(
+        rng.between(1, o.arch.sam == SamKind::Point ? 2 : 4));
+    static constexpr double kHybrid[] = {0.0, 0.0, 0.1, 0.25, 0.5};
+    o.arch.hybridFraction = kHybrid[rng.below(5)];
+    o.arch.inMemoryOps = rng.chance(0.8);
+    o.arch.localityStore = rng.chance(0.8);
+    o.arch.directSurgery = rng.chance(0.3);
+    o.arch.rowParallelOps = rng.chance(0.7);
+    o.arch.placement = rng.chance(0.5) ? PlacementPolicy::RowMajor
+                                       : PlacementPolicy::Interleaved;
+    if (rng.chance(0.3) && program.size() > 1)
+        o.maxInstructions = rng.between(1, program.size() - 1);
+    return o;
+}
+
+/** 2-6 lanes of @p base, each with a random magic-state supply. */
+std::vector<SimOptions>
+randomLanes(Rng &rng, const SimOptions &base)
+{
+    std::vector<SimOptions> lanes(
+        static_cast<std::size_t>(rng.between(2, 6)), base);
+    for (SimOptions &lane : lanes) {
+        ArchConfig &arch = lane.arch;
+        arch.factories = static_cast<std::int32_t>(rng.between(1, 4));
+        arch.bufferCap = rng.chance(0.5)
+                             ? -1
+                             : static_cast<std::int32_t>(
+                                   rng.between(1, 8));
+        arch.warmBuffer = rng.chance(0.7);
+        arch.instantMagic = rng.chance(0.15);
+        arch.lat.msfPeriod = static_cast<std::int32_t>(rng.between(1, 40));
+        arch.lat.magicTransfer =
+            static_cast<std::int32_t>(rng.between(0, 3));
+    }
+    return lanes;
+}
+
+/** Run @p lanes as one group and compare each lane with simulate(). */
+void
+expectLanesMatchSolo(const Program &program,
+                     const std::vector<SimOptions> &lanes)
+{
+    const SimOptions &base = lanes.front();
+    SCOPED_TRACE(base.arch.label() + " prefix " +
+                 std::to_string(base.maxInstructions) + " lanes " +
+                 std::to_string(lanes.size()));
+    ASSERT_TRUE(sharesBankWalk(base, lanes.back()));
+    const LaneResults run = simulateLanes(program, lanes);
+    ASSERT_EQ(run.results.size(), lanes.size());
+    // Only the line-SAM row-parallel window reads timing.
+    if (base.arch.sam != SamKind::Line || !base.arch.rowParallelOps ||
+        !base.arch.inMemoryOps) {
+        EXPECT_EQ(run.fallbacks, 0);
+    }
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+        SCOPED_TRACE("lane " + std::to_string(k));
+        expectIdentical(run.results[k], simulate(program, lanes[k]));
+    }
+}
+
+class RandomProgramLanesDifferential : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(RandomProgramLanesDifferential, EveryLaneEqualsSoloSimulate)
+{
+    Rng rng(0x5eed1a9e5ULL * (static_cast<std::uint64_t>(GetParam()) + 1));
+    TranslateOptions translation;
+    translation.inMemoryOps = rng.chance(0.8);
+    translation.crSlots = static_cast<std::int32_t>(rng.between(2, 3));
+    const std::uint64_t circuitSeed = rng();
+    const std::int64_t gates = rng.between(50, 400);
+    const Program program = lowerAndTranslate(
+        randomMacroCircuit(circuitSeed, gates, true), translation);
+    const SimOptions machine = randomMachine(rng, program);
+    expectLanesMatchSolo(program, randomLanes(rng, machine));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramLanesDifferential,
+                         ::testing::Range(0, fuzzSeedCount()));
+
+/** Small instances of the paper's adder, SELECT and multiplier. */
+const std::vector<Program> &
+benchmarkPrograms()
+{
+    static const std::vector<Program> programs = [] {
+        SelectParams select;
+        select.width = 5;
+        MultiplierParams multiplier;
+        multiplier.widthA = 5;
+        multiplier.widthB = 4;
+        return std::vector<Program>{
+            lowerAndTranslate(makeAdder(8)),
+            lowerAndTranslate(makeSelect(select)),
+            lowerAndTranslate(makeMultiplier(multiplier))};
+    }();
+    return programs;
+}
+
+class BenchmarkLanesDifferential : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(BenchmarkLanesDifferential, EveryLaneEqualsSoloSimulate)
+{
+    Rng rng(0xbe7c4a11ULL * (static_cast<std::uint64_t>(GetParam()) + 1));
+    for (const Program &program : benchmarkPrograms()) {
+        const SimOptions machine = randomMachine(rng, program);
+        expectLanesMatchSolo(program, randomLanes(rng, machine));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BenchmarkLanesDifferential,
+                         ::testing::Range(0, fuzzSeedCount()));
 
 } // namespace
 } // namespace lsqca
