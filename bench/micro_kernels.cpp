@@ -164,6 +164,22 @@ main(int argc, char **argv)
                bestOf(simReps, [&] { simulate(adder, opts); }),
                "instruction", adder.size());
     }
+    {
+        // The hybrid line point at 1, 2 and 4 factories as lanes: its
+        // conventional-region instructions have no bank work to share,
+        // so the per-lane timing cost weighs most here. Reads against
+        // simulate/hybrid-line#1/adder as the point lanes do above.
+        std::vector<SimOptions> lanes(3);
+        for (std::size_t k = 0; k < lanes.size(); ++k) {
+            lanes[k].arch.sam = SamKind::Line;
+            lanes[k].arch.hybridFraction = 0.25;
+            lanes[k].arch.factories = std::int32_t{1} << k;
+        }
+        record("simulate/hybrid-line#1/adder/lanes-f124",
+               bestOf(simReps, [&] { simulateLanes(adder, lanes); }),
+               "lane-instruction",
+               adder.size() * static_cast<std::int64_t>(lanes.size()));
+    }
 
     // ---- sampled-estimator fast-forward kernel -------------------------
     // Functional warming throughput: replay the adder stream through
