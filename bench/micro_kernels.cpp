@@ -266,6 +266,31 @@ main(int argc, char **argv)
         record("build/select41/one-pass", onePass, "instruction", built,
                "ns_per_built_instr");
     }
+    // The default multiplier (1,038,258 instructions) built whole, and
+    // built to the 60k-instruction prefix that fig13, fig14 and the
+    // ablation simulate, which is as far as runSpec builds it for them.
+    // perfbench's traced run builds whole programs itself, so only this
+    // pair sees the prefix stop. Reps alternate as above.
+    {
+        const Circuit macro = makeMultiplier(MultiplierParams{});
+        double whole = 1e300;
+        double prefix = 1e300;
+        for (int r = 0; r < 2 * simReps; ++r) {
+            whole = std::min(whole, bestOf(1, [&] {
+                doNotOptimize(lowerAndTranslate(macro).size());
+            }));
+            prefix = std::min(prefix, bestOf(1, [&] {
+                doNotOptimize(lowerAndTranslate(macro, {},
+                                                ToffoliStyle::Textbook7T,
+                                                60000)
+                                  .size());
+            }));
+        }
+        record("build/multiplier/full", whole, "build", 1,
+               "ns_per_build");
+        record("build/multiplier/prefix60k", prefix, "build", 1,
+               "ns_per_build");
+    }
 
     // ---- bank cost-model kernels ---------------------------------------
     // The point/line simulate() hot path is bound by these queries

@@ -1,5 +1,6 @@
 #include "api/registry.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "api/json_reader.h"
@@ -247,21 +248,24 @@ BenchmarkRegistry::canonicalParams(const std::string &name,
 
 const Program &
 BenchmarkRegistry::program(const std::string &name, const Json &params,
-                           const TranslateOptions &translate_options)
+                           const TranslateOptions &translate_options,
+                           std::int64_t maxInstructions)
 {
     const BenchmarkEntry &bench = entry(name);
     const Json canonical = bench.canonicalize(params);
     const std::string key =
         name + "|" + canonical.dump(0) + "|" +
         (translate_options.inMemoryOps ? "mem" : "ldst") + "|cr" +
-        std::to_string(translate_options.crSlots);
+        std::to_string(translate_options.crSlots) + "|n" +
+        std::to_string(std::max<std::int64_t>(maxInstructions, 0));
     auto found = programs_.find(key);
     if (found == programs_.end()) {
         // One pass: gadgets expand inside translation, so only the
         // synthesized macro circuit (a temporary, freed at the end of
         // this statement) stays alive next to the Program being built.
         auto program = std::make_unique<Program>(lowerAndTranslate(
-            bench.synthesize(canonical), translate_options));
+            bench.synthesize(canonical), translate_options,
+            ToffoliStyle::Textbook7T, maxInstructions));
         found = programs_.emplace(key, std::move(program)).first;
     }
     return *found->second;

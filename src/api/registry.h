@@ -5,11 +5,14 @@
  * @file
  * Name-addressable benchmark programs: the declarative experiment API's
  * front end to src/synth. A registry maps (benchmark name, JSON
- * parameter object, translate options) to a Program, synthesized and
- * then lowered and translated in one pass (lowerAndTranslate: no
- * lowered circuit is built), memoizing the result so one program
- * shared across N sweep points is built exactly once — the largest
- * part of a big sweep's setup.
+ * parameter object, translate options, instruction limit) to a
+ * Program, synthesized and then lowered and translated in one pass
+ * (lowerAndTranslate: no lowered circuit is built), memoizing the
+ * result so one program shared across N sweep points is built exactly
+ * once — the largest part of a big sweep's setup. A sweep asks for
+ * each program once, with the longest prefix its jobs simulate
+ * (runSpec), so a 60k-instruction steady-state sweep never translates
+ * the rest of a million-instruction program.
  *
  * Parameters are validated strictly (unknown keys and out-of-range
  * values throw ConfigError) and canonicalized (defaults filled in), so
@@ -82,9 +85,18 @@ class BenchmarkRegistry
      * The translated program for (name, params, translate options),
      * built on first use and cached thereafter. The reference stays
      * valid for the registry's lifetime.
+     *
+     * A positive @p maxInstructions builds only the prefix a job
+     * limited to that many instructions simulates (lowerAndTranslate()
+     * stops at the next gate boundary); its referenceCounts() are
+     * still the whole program's. The memo is keyed on the limit too,
+     * so ask once per program with the longest limit any of its jobs
+     * needs. 0 (or less, as SimOptions::maxInstructions) builds the
+     * whole program.
      */
     const Program &program(const std::string &name, const Json &params,
-                           const TranslateOptions &translate = {});
+                           const TranslateOptions &translate = {},
+                           std::int64_t maxInstructions = 0);
 
     /** Hot-set fraction (see BenchmarkEntry). @throws when undefined. */
     double hotFraction(const std::string &name, const Json &params) const;

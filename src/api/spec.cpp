@@ -670,13 +670,48 @@ runSpec(const SweepSpec &spec, BenchmarkRegistry &registry,
     // Program resolution happens only for the jobs actually run, so a
     // shard never pays for benchmarks that belong to other machines —
     // nor, with a job cache, for jobs whose entries it already holds.
-    run.jobs.reserve(stale.size());
+    // Each distinct program is built once, and only as far as the
+    // longest prefix its jobs simulate (0, the whole program, wins):
+    // the paper's 60k-instruction steady-state sweeps never translate
+    // the rest of a million-instruction multiplier.
+    struct Build
+    {
+        const ExpandedJob *first; ///< the first job naming the program
+        std::int64_t limit;
+        const Program *program = nullptr;
+    };
+    std::vector<Build> builds;
+    std::unordered_map<std::string, std::size_t> buildOf;
+    std::vector<std::size_t> jobBuild;
+    jobBuild.reserve(stale.size());
     for (const std::size_t i : stale) {
         const ExpandedJob &expanded = run.expanded[i];
+        const std::int64_t limit =
+            std::max<std::int64_t>(expanded.options.maxInstructions, 0);
+        // Canonical params: equal programs have equal keys.
+        const auto [found, fresh] = buildOf.emplace(
+            expanded.bench + "|" + expanded.params.dump(0) + "|" +
+                toJson(expanded.translate).dump(0),
+            builds.size());
+        if (fresh) {
+            builds.push_back({&expanded, limit});
+        } else {
+            std::int64_t &longest = builds[found->second].limit;
+            longest = longest == 0 || limit == 0 ? 0
+                                                 : std::max(longest, limit);
+        }
+        jobBuild.push_back(found->second);
+    }
+    for (Build &build : builds)
+        build.program =
+            &registry.program(build.first->bench, build.first->params,
+                              build.first->translate, build.limit);
+    run.jobs.reserve(stale.size());
+    for (std::size_t k = 0; k < stale.size(); ++k) {
+        const ExpandedJob &expanded = run.expanded[stale[k]];
         SweepJob job;
         job.name = expanded.name;
-        job.program = &registry.program(expanded.bench, expanded.params,
-                                        expanded.translate);
+        job.program = builds[jobBuild[k]].program;
         job.options = expanded.options;
         run.jobs.push_back(std::move(job));
     }

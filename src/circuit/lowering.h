@@ -15,6 +15,10 @@
  * emitter, so a program build never materializes the lowered circuit.
  */
 
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+
 #include "circuit/circuit.h"
 #include "common/error.h"
 
@@ -230,6 +234,18 @@ lowerGate(const Gate &g, ToffoliStyle style, QubitId ancilla, Sink &out)
 }
 
 /**
+ * The leading source gates a build expands: the first `gates`, whose
+ * expansions weigh `weight` in all and end with `numBits` classical
+ * bits numbered.
+ */
+struct LoweringPrefix
+{
+    std::size_t gates = 0;
+    std::int64_t weight = 0;
+    std::int32_t numBits = 0;
+};
+
+/**
  * What lowering a circuit adds, settled by one counting pass before
  * anything is emitted: a builder sizes its output from it and numbers
  * its classical values after every un-AND outcome.
@@ -245,18 +261,27 @@ struct LoweringPlan
      * count), or kNoQubit when no TemporaryAnd4T CCX needs it.
      */
     QubitId ancilla = kNoQubit;
+    /**
+     * Where a build stops: at the first source-gate boundary where the
+     * weight reaches planLowering()'s limit, or after the last gate.
+     * weight, numBits and ancilla always describe the whole circuit.
+     */
+    LoweringPrefix prefix;
 };
 
 /**
  * Plan lowering @p circuit in @p style: run every expansion once into a
- * counter that adds @p weight(g) per expanded gate g.
+ * counter that adds @p weight(g) per expanded gate g. The plan's prefix
+ * ends at the first source-gate boundary where the weight reaches
+ * @p limit (0 = no limit: the whole circuit).
  *
  * @throws ConfigError as lowerGate() does, or when the ancilla register
  *     is needed and @p circuit already has one by that name.
  */
 template <typename Weight>
 LoweringPlan
-planLowering(const Circuit &circuit, ToffoliStyle style, Weight weight)
+planLowering(const Circuit &circuit, ToffoliStyle style, Weight weight,
+             std::int64_t limit = 0)
 {
     struct Counter : GateSink<Counter>
     {
@@ -269,12 +294,18 @@ planLowering(const Circuit &circuit, ToffoliStyle style, Weight weight)
     };
     LoweringPlan plan;
     plan.numBits = circuit.numClassicalBits();
+    plan.prefix.numBits = plan.numBits;
+    const std::int64_t stop =
+        limit > 0 ? limit : std::numeric_limits<std::int64_t>::max();
     const QubitId ancilla = circuit.numQubits();
     Counter counter(weight, plan);
     for (const Gate &g : circuit.gates()) {
         if (g.kind == GateKind::CCX && style == ToffoliStyle::TemporaryAnd4T)
             plan.ancilla = ancilla;
         lowerGate(g, style, ancilla, counter);
+        if (plan.prefix.weight < stop)
+            plan.prefix = {plan.prefix.gates + 1, plan.weight,
+                           plan.numBits};
     }
     if (plan.ancilla != kNoQubit)
         for (const QubitRegister &r : circuit.registers())

@@ -169,6 +169,15 @@ Program::referenceCounts() const
     return *memo;
 }
 
+void
+Program::setReferenceCounts(std::vector<std::int64_t> counts)
+{
+    LSQCA_ASSERT(counts.size() == static_cast<std::size_t>(numVariables_),
+                 "one reference count per variable");
+    refCounts_ = std::make_shared<const std::vector<std::int64_t>>(
+        std::move(counts));
+}
+
 PrefixExtent
 Program::prefixExtent(std::int64_t limit) const
 {

@@ -21,6 +21,10 @@
 
 namespace lsqca {
 
+class Circuit;
+struct TranslateOptions;
+enum class ToffoliStyle;
+
 /** A named contiguous variable range (mirrors circuit registers). */
 struct VariableRegister
 {
@@ -144,6 +148,11 @@ class Program
      * scan dominated fig14's wall-clock when repeated per job.
      * Thread-safe — concurrent first calls may each compute, but they
      * store identical vectors.
+     *
+     * A program lowerAndTranslate() built only to a prefix reports
+     * the whole translation's counts, tallied by its counting pass,
+     * so hybrid placement ranks its variables as a full build's.
+     * append() drops them, and they are counted over the code again.
      */
     std::vector<std::int64_t> referenceCounts() const;
 
@@ -167,6 +176,14 @@ class Program
     std::string disassemble(std::size_t max_lines = 0) const;
 
   private:
+    /** The only caller of setReferenceCounts(). */
+    friend Program lowerAndTranslate(const Circuit &,
+                                     const TranslateOptions &,
+                                     ToffoliStyle, std::int64_t);
+
+    /** Set the referenceCounts() memo (one count per variable). */
+    void setReferenceCounts(std::vector<std::int64_t> counts);
+
     std::int32_t numVariables_ = 0;
     std::int32_t numValues_ = 0;
     std::vector<Instruction> code_;

@@ -1,5 +1,7 @@
 #include "translate/translate.h"
 
+#include <vector>
+
 #include "common/error.h"
 
 namespace lsqca {
@@ -21,9 +23,47 @@ instructionsFor(const Gate &g, const TranslateOptions &options)
         return guarded + (options.inMemoryOps ? 1 : 3);
       case GateKind::T:
       case GateKind::Tdg:
+        // Checked here, in the pass over every gate, so a build that
+        // stops early still rejects what a full build would.
+        LSQCA_REQUIRE(g.condBit == kNoBit,
+                      "conditioned T is not supported");
         return options.inMemoryOps ? 5 : 7;
       default:
         return guarded + 1;
+    }
+}
+
+/**
+ * Add the memory-operand references Emitter::append() emits for
+ * Clifford+T gate @p g to @p refs (one count per variable).
+ */
+void
+addReferences(const Gate &g, const TranslateOptions &options,
+              std::vector<std::int64_t> &refs)
+{
+    std::int64_t &first = refs[static_cast<std::size_t>(g.qubits[0])];
+    switch (g.kind) {
+      case GateKind::X:
+      case GateKind::Y:
+      case GateKind::Z:
+        return;
+      case GateKind::H:
+      case GateKind::S:
+      case GateKind::Sdg:
+        first += options.inMemoryOps ? 1 : 2; // HD.M, or LD + ST
+        return;
+      case GateKind::T:
+      case GateKind::Tdg:
+        first += 2; // MZZ.M + PH.M, or LD + ST
+        return;
+      case GateKind::CX:
+      case GateKind::CZ:
+        ++first;
+        ++refs[static_cast<std::size_t>(g.qubits[1])];
+        return;
+      default:
+        ++first; // preparations and measurements
+        return;
     }
 }
 
@@ -37,10 +77,11 @@ class Emitter : public GateSink<Emitter>
     /**
      * A program over @p circuit's registers, plus the ancilla register
      * when @p plan borrows one. Its first plan.numBits values are the
-     * lowered circuit's classical bits, and plan.weight instructions
-     * are reserved: grown by doubling, a full-length SELECT program is
-     * copied about twice and faults in about twice its final size in
-     * fresh pages, which cost more setup time than the counting pass.
+     * lowered circuit's classical bits, and the plan's prefix weight in
+     * instructions is reserved: grown by doubling, a full-length SELECT
+     * program is copied about twice and faults in about twice its final
+     * size in fresh pages, which cost more setup time than the counting
+     * pass.
      */
     Emitter(const Circuit &circuit, const TranslateOptions &options,
             const LoweringPlan &plan)
@@ -56,7 +97,7 @@ class Emitter : public GateSink<Emitter>
             prog_.addRegister(kCcxAncillaRegister, plan.ancilla, 1);
         for (std::int32_t i = 0; i < plan.numBits; ++i)
             prog_.newValue();
-        prog_.reserve(plan.weight);
+        prog_.reserve(plan.prefix.weight);
     }
 
     /** Emit the instructions for Clifford+T gate @p g. */
@@ -75,8 +116,8 @@ class Emitter : public GateSink<Emitter>
     Program
     finish()
     {
-        LSQCA_ASSERT(prog_.size() == plan_.weight &&
-                         nextBit_ == plan_.numBits,
+        LSQCA_ASSERT(prog_.size() == plan_.prefix.weight &&
+                         nextBit_ == plan_.prefix.numBits,
                      "the counting pass disagrees with emission");
         return std::move(prog_);
     }
@@ -228,8 +269,6 @@ class Emitter : public GateSink<Emitter>
             return;
           case GateKind::T:
           case GateKind::Tdg:
-            LSQCA_REQUIRE(g.condBit == kNoBit,
-                          "conditioned T is not supported");
             emitTGadget(q0);
             return;
           case GateKind::CX:
@@ -272,6 +311,18 @@ class Emitter : public GateSink<Emitter>
     std::int32_t rrSlot_ = 0;
 };
 
+/** Expand and emit the first plan.prefix.gates gates of @p circuit. */
+Program
+emitPlanned(const Circuit &circuit, const TranslateOptions &options,
+            ToffoliStyle style, const LoweringPlan &plan)
+{
+    Emitter emitter(circuit, options, plan);
+    const std::vector<Gate> &gates = circuit.gates();
+    for (std::size_t i = 0; i < plan.prefix.gates; ++i)
+        lowerGate(gates[i], style, plan.ancilla, emitter);
+    return emitter.finish();
+}
+
 } // namespace
 
 Program
@@ -283,6 +334,7 @@ translate(const Circuit &circuit, const TranslateOptions &options)
     plan.numBits = circuit.numClassicalBits();
     for (const auto &g : circuit.gates())
         plan.weight += instructionsFor(g, options);
+    plan.prefix = {circuit.gates().size(), plan.weight, plan.numBits};
     Emitter emitter(circuit, options, plan);
     for (const auto &g : circuit.gates())
         emitter.append(g);
@@ -291,16 +343,35 @@ translate(const Circuit &circuit, const TranslateOptions &options)
 
 Program
 lowerAndTranslate(const Circuit &circuit, const TranslateOptions &options,
-                  ToffoliStyle style)
+                  ToffoliStyle style, std::int64_t maxInstructions)
 {
-    const LoweringPlan plan =
-        planLowering(circuit, style, [&options](const Gate &g) {
-            return instructionsFor(g, options);
-        });
-    Emitter emitter(circuit, options, plan);
-    for (const auto &g : circuit.gates())
-        lowerGate(g, style, plan.ancilla, emitter);
-    return emitter.finish();
+    const auto weigh = [&options](const Gate &g) {
+        return instructionsFor(g, options);
+    };
+    // A whole program holds every reference in its code, where
+    // referenceCounts() counts them on first use, as for any program.
+    // Tallying them here instead would add about 10 ms to the 0.3 s of
+    // serial builds in front of fig15 --full (the five SELECTs).
+    if (maxInstructions <= 0)
+        return emitPlanned(circuit, options, style,
+                           planLowering(circuit, style, weigh));
+    // A prefix leaves most references out of its code. The counting
+    // pass expands every gate anyway, so it also tallies the whole
+    // translation's, ancilla included: a build that stops early ranks
+    // variables for hybrid placement as a full one.
+    std::vector<std::int64_t> refs(
+        static_cast<std::size_t>(circuit.numQubits()) + 1, 0);
+    const LoweringPlan plan = planLowering(
+        circuit, style,
+        [&options, &refs, &weigh](const Gate &g) {
+            addReferences(g, options, refs);
+            return weigh(g);
+        },
+        maxInstructions);
+    Program program = emitPlanned(circuit, options, style, plan);
+    refs.resize(static_cast<std::size_t>(program.numVariables()));
+    program.setReferenceCounts(std::move(refs));
+    return program;
 }
 
 } // namespace lsqca

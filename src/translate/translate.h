@@ -67,11 +67,26 @@ Program translate(const Circuit &circuit,
  * circuit is never built. Equal to
  * `translate(lowerToCliffordT(circuit, style), options)` instruction
  * for instruction, with the same registers, numVariables() and
- * numValues(). @throws ConfigError where either of those would.
+ * numValues(). @throws ConfigError where either of those would, also
+ * on gates past @p maxInstructions.
+ *
+ * A positive @p maxInstructions builds only a prefix: emission stops
+ * at the first macro-gate boundary at or after that many instructions
+ * (or at the end, if the program is shorter), so size() exceeds the
+ * limit by less than the last gate's expansion. The instructions are
+ * the full build's first size(), with the same registers and
+ * numVariables(); numValues() keeps every classical bit of the lowered
+ * circuit but only the T-gadget values the prefix names.
+ * referenceCounts() are the whole translation's, tallied by the
+ * counting pass that expands every gate anyway, so hybrid placement
+ * ranks variables as over the full build. 0 (or less) builds the whole
+ * program by the same path, without the tally: its code holds every
+ * reference.
  */
 Program lowerAndTranslate(const Circuit &circuit,
                           const TranslateOptions &options = {},
-                          ToffoliStyle style = ToffoliStyle::Textbook7T);
+                          ToffoliStyle style = ToffoliStyle::Textbook7T,
+                          std::int64_t maxInstructions = 0);
 
 } // namespace lsqca
 

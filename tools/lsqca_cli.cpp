@@ -263,8 +263,11 @@ cmdTrace(int argc, char **argv)
                       "\" expands to " + std::to_string(jobs.size()) +
                       " jobs (see `lsqca expand`)");
     const ExpandedJob &job = jobs[static_cast<std::size_t>(jobIndex)];
+    // Built only as far as the job simulates: no collector reads past
+    // its prefix.
     const Program &program =
-        registry.program(job.bench, job.params, job.translate);
+        registry.program(job.bench, job.params, job.translate,
+                         job.options.maxInstructions);
 
     // One job, every built-in collector attached. The JSONL stream
     // goes straight to a sibling temp file (a long trace with cell
