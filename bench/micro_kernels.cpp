@@ -155,6 +155,17 @@ main(int argc, char **argv)
         record("simulate/line#4/adder",
                bestOf(simReps, [&] { simulate(adder, opts); }),
                "instruction", adder.size());
+        // The adder's object code stays cache-resident; a full-length
+        // SELECT(61) (1,434,844 instructions, 23 MB) streams from
+        // memory, as fig15 --full's programs do. Together the two pin
+        // the decode cost on both sides of the cache. --smoke runs
+        // SELECT(21) to stay CI-sized.
+        SelectParams params;
+        params.width = args.smoke ? 21 : 61;
+        const Program select = lowerAndTranslate(makeSelect(params));
+        record("simulate/line#4/select61-full",
+               bestOf(simReps, [&] { simulate(select, opts); }),
+               "instruction", select.size());
     }
     {
         SimOptions opts;

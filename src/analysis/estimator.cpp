@@ -66,7 +66,7 @@ estimateResources(const Program &program, const ArchConfig &config)
         static_cast<std::size_t>(program.numValues()), 0);
     std::int32_t max_slot = 1;
     for (const auto &inst : program.instructions())
-        max_slot = std::max({max_slot, inst.c0, inst.c1});
+        max_slot = std::max<std::int32_t>({max_slot, inst.c0, inst.c1});
     std::vector<std::int64_t> slot_ready(
         static_cast<std::size_t>(max_slot) + 1, 0);
     std::int64_t total = 0;

@@ -270,8 +270,7 @@ applyTranslatePatch(TranslateOptions &options, const Json &patch)
 {
     ObjectReader reader(patch, "translate");
     reader.readBool("in_memory_ops", options.inMemoryOps);
-    reader.readInt32("cr_slots", options.crSlots, 2,
-                     std::numeric_limits<std::int32_t>::max());
+    reader.readInt32("cr_slots", options.crSlots, 2, kMaxCrSlots);
     reader.finish();
 }
 

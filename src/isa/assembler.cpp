@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 #include <sstream>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -60,6 +60,36 @@ tokenize(const std::string &line)
     return tokens;
 }
 
+/**
+ * The decimal index @p digits, which must lie in [0, @p limit): every
+ * index the assembler reads goes through here before it is stored, so
+ * none wraps or escapes as std::out_of_range. @p what names the text
+ * in the error, which gives the line.
+ */
+std::int32_t
+parseIndex(const std::string &digits, std::int64_t limit,
+           const std::string &what, std::size_t line_no)
+{
+    if (digits.empty())
+        fail(line_no, what + " has no index");
+    std::int64_t value = 0;
+    for (char c : digits) {
+        if (!std::isdigit(static_cast<unsigned char>(c)))
+            fail(line_no, what + " has a non-numeric index");
+        value = value * 10 + (c - '0');
+        if (value >= limit)
+            fail(line_no, what + " is out of range: indices must be "
+                                 "below " + std::to_string(limit));
+    }
+    return static_cast<std::int32_t>(value);
+}
+
+/**
+ * Bound on m and v indices and on the variable count: the count is
+ * the largest m index plus one, and both must fit std::int32_t.
+ */
+constexpr std::int64_t kMaxIndex = std::numeric_limits<std::int32_t>::max();
+
 Operand
 parseOperand(const std::string &token, std::size_t line_no)
 {
@@ -69,32 +99,29 @@ parseOperand(const std::string &token, std::size_t line_no)
     if (prefix != 'm' && prefix != 'c' && prefix != 'v')
         fail(line_no, "operand '" + token +
                           "' must start with m, c, or v");
-    for (std::size_t i = 1; i < token.size(); ++i)
-        if (!std::isdigit(static_cast<unsigned char>(token[i])))
-            fail(line_no, "operand '" + token + "' has a non-numeric "
-                          "index");
-    return {prefix, static_cast<std::int32_t>(std::stol(
-                        token.substr(1)))};
+    const std::int64_t limit = prefix == 'c' ? kMaxCrSlots : kMaxIndex;
+    return {prefix, parseIndex(token.substr(1), limit,
+                               "operand '" + token + "'", line_no)};
 }
 
 /** Parse "; lsqca program: N variables, ..." -> N (or -1). */
 std::int32_t
-parseHeaderVariables(const std::string &line)
+parseHeaderVariables(const std::string &line, std::size_t line_no)
 {
     const std::string key = "lsqca program:";
     const auto pos = line.find(key);
     if (pos == std::string::npos)
         return -1;
-    std::istringstream iss(line.substr(pos + key.size()));
-    std::int64_t n = -1;
-    iss >> n;
-    return static_cast<std::int32_t>(n);
+    const auto tokens = tokenize(line.substr(pos + key.size()));
+    return parseIndex(tokens.empty() ? std::string() : tokens[0],
+                      kMaxIndex, "header variable count", line_no);
 }
 
 /** Parse "; register name: mA..mB" -> (name, A, B) if present. */
 bool
-parseRegisterComment(const std::string &line, std::string &name,
-                     std::int32_t &first, std::int32_t &last)
+parseRegisterComment(const std::string &line, std::size_t line_no,
+                     std::string &name, std::int32_t &first,
+                     std::int32_t &last)
 {
     const std::string key = "register ";
     const auto pos = line.find(key);
@@ -112,9 +139,12 @@ parseRegisterComment(const std::string &line, std::string &name,
     const auto m2 = rest.find('m', dots);
     if (m2 == std::string::npos)
         return false;
-    first = static_cast<std::int32_t>(
-        std::stol(rest.substr(m1 + 1, dots - m1 - 1)));
-    last = static_cast<std::int32_t>(std::stol(rest.substr(m2 + 1)));
+    const std::string what = "register " + name;
+    first = parseIndex(rest.substr(m1 + 1, dots - m1 - 1), kMaxIndex,
+                       what, line_no);
+    const auto tail = tokenize(rest.substr(m2 + 1));
+    last = parseIndex(tail.empty() ? std::string() : tail[0], kMaxIndex,
+                      what, line_no);
     return true;
 }
 
@@ -130,11 +160,18 @@ assemble(const std::string &text)
         std::size_t lineNo;
     };
 
+    struct Register
+    {
+        std::string name;
+        std::int32_t first;
+        std::int32_t last;
+        std::size_t lineNo;
+    };
+
     std::int32_t num_variables = -1;
     std::int32_t max_variable = -1;
     std::int32_t max_value = -1;
-    std::vector<std::tuple<std::string, std::int32_t, std::int32_t>>
-        registers;
+    std::vector<Register> registers;
     std::vector<Pending> pending;
 
     std::istringstream stream(text);
@@ -146,12 +183,11 @@ assemble(const std::string &text)
         if (semi != std::string::npos) {
             const std::string comment = line.substr(semi);
             if (num_variables < 0)
-                num_variables = parseHeaderVariables(comment);
-            std::string name;
-            std::int32_t first = 0;
-            std::int32_t last = 0;
-            if (parseRegisterComment(comment, name, first, last))
-                registers.emplace_back(name, first, last);
+                num_variables = parseHeaderVariables(comment, line_no);
+            Register reg{{}, 0, 0, line_no};
+            if (parseRegisterComment(comment, line_no, reg.name,
+                                     reg.first, reg.last))
+                registers.push_back(std::move(reg));
             line = line.substr(0, semi);
         }
         auto tokens = tokenize(line);
@@ -185,8 +221,14 @@ assemble(const std::string &text)
                   "largest m-operand");
 
     Program program(num_variables);
-    for (const auto &[name, first, last] : registers)
-        program.addRegister(name, first, last - first + 1);
+    for (const Register &reg : registers) {
+        try {
+            program.addRegister(reg.name, reg.first,
+                                reg.last - reg.first + 1);
+        } catch (const ConfigError &e) {
+            fail(reg.lineNo, e.what());
+        }
+    }
     for (std::int32_t v = 0; v <= max_value; ++v)
         program.newValue();
 
@@ -202,8 +244,9 @@ assemble(const std::string &text)
               case 'm':
                 (mem_seen++ == 0 ? out.m0 : out.m1) = operand.index;
                 break;
-              case 'c':
-                (reg_seen++ == 0 ? out.c0 : out.c1) = operand.index;
+              case 'c': // below kMaxCrSlots: parseOperand checked
+                (reg_seen++ == 0 ? out.c0 : out.c1) =
+                    static_cast<std::int8_t>(operand.index);
                 break;
               default:
                 ++val_seen;

@@ -18,8 +18,10 @@
  *
  * Directives: the header comment declares the variable count; register
  * comments declare named ranges. Value slots are allocated implicitly
- * up to the highest index referenced. Unknown mnemonics, malformed
- * operands, and out-of-range references raise ConfigError with the
+ * up to the highest index referenced. Indices are decimal: m and v
+ * indices and the variable count must fit std::int32_t, and c indices
+ * must be below kMaxCrSlots. Unknown mnemonics, malformed operands,
+ * and out-of-range indices or references raise ConfigError with the
  * offending line number.
  */
 

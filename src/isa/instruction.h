@@ -98,19 +98,39 @@ mnemonic(Opcode op)
 Opcode opcodeFromMnemonic(const std::string &name);
 
 /**
+ * CR slots a program may name: indices 0 .. kMaxCrSlots - 1, which fit
+ * Instruction's signed-byte register operands beside the -1 sentinel.
+ * The Computational Register is small by design (the paper fixes two
+ * cells; translation round-robins over TranslateOptions::crSlots), so
+ * the cap costs no real program anything. Translation (including
+ * cr_slots read from a spec) and the assembler check it before they
+ * narrow a slot index.
+ */
+inline constexpr std::int32_t kMaxCrSlots = 128;
+
+/**
  * One decoded LSQCA instruction.
  *
  * Unused operand slots stay -1. Field use per opcode follows Table I:
  * e.g. LD uses (m0, c0); ST uses (c0, m0); MZZ.M uses (c0, m0, v0);
  * CX uses (m0, m1); SK uses (v0).
+ *
+ * Layout: 16 bytes. The opcode and the two CR slots (below
+ * kMaxCrSlots) take one byte each, beside three 32-bit variable and
+ * value operands. Long sweeps keep millions of instructions resident
+ * (fig15 --full's five SELECT programs hold 8.7M), so each byte here
+ * is megabytes of peak memory; 32-bit CR slots would pad the record
+ * to 24 bytes. m1 and v0 stay apart although no opcode uses both, so
+ * scans that test an operand against -1 (prefix extents, the trace
+ * writer) need no opcode-table lookup to know which field it is.
  */
 struct Instruction
 {
     Opcode op = Opcode::LD;
+    std::int8_t c0 = -1;   ///< First CR slot.
+    std::int8_t c1 = -1;   ///< Second CR slot.
     std::int32_t m0 = -1;  ///< First memory variable.
     std::int32_t m1 = -1;  ///< Second memory variable.
-    std::int32_t c0 = -1;  ///< First CR slot.
-    std::int32_t c1 = -1;  ///< Second CR slot.
     std::int32_t v0 = -1;  ///< Classical value slot.
 
     /** Assembly-style rendering, e.g. "MZZ.M c0, m17 -> v3". */

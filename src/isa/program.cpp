@@ -27,7 +27,8 @@ scanPrefix(const std::vector<Instruction> &code, std::int64_t limit)
     // negative.
     for (std::size_t i = 0; i < n; ++i) {
         const Instruction &inst = code[i];
-        extent.maxSlot = std::max({extent.maxSlot, inst.c0, inst.c1});
+        extent.maxSlot =
+            std::max<std::int32_t>({extent.maxSlot, inst.c0, inst.c1});
         if (inst.v0 < 0)
             continue;
         const auto v = static_cast<std::size_t>(inst.v0);

@@ -89,8 +89,9 @@ class Emitter : public GateSink<Emitter>
           prog_(circuit.numQubits() + (plan.ancilla == kNoQubit ? 0 : 1)),
           nextBit_(circuit.numClassicalBits())
     {
-        LSQCA_REQUIRE(opts_.crSlots >= 2,
-                      "translation needs at least two CR slots");
+        LSQCA_REQUIRE(opts_.crSlots >= 2 && opts_.crSlots <= kMaxCrSlots,
+                      "translation needs 2 to " +
+                          std::to_string(kMaxCrSlots) + " CR slots");
         for (const auto &r : circuit.registers())
             prog_.addRegister(r.name, r.first, r.size);
         if (plan.ancilla != kNoQubit)
@@ -123,11 +124,11 @@ class Emitter : public GateSink<Emitter>
     }
 
   private:
-    /** Next CR slot in round-robin order. */
-    std::int32_t
+    /** Next CR slot in round-robin order (below kMaxCrSlots). */
+    std::int8_t
     nextSlot()
     {
-        const std::int32_t slot = rrSlot_;
+        const auto slot = static_cast<std::int8_t>(rrSlot_);
         rrSlot_ = (rrSlot_ + 1) % opts_.crSlots;
         return slot;
     }
@@ -163,7 +164,7 @@ class Emitter : public GateSink<Emitter>
 
     /** One-register-operand instruction. */
     void
-    emitC(Opcode op, std::int32_t c, std::int32_t v = -1)
+    emitC(Opcode op, std::int8_t c, std::int32_t v = -1)
     {
         Instruction inst;
         inst.op = op;
@@ -173,7 +174,7 @@ class Emitter : public GateSink<Emitter>
     }
 
     void
-    emitLoad(QubitId m, std::int32_t c)
+    emitLoad(QubitId m, std::int8_t c)
     {
         Instruction inst;
         inst.op = Opcode::LD;
@@ -183,7 +184,7 @@ class Emitter : public GateSink<Emitter>
     }
 
     void
-    emitStore(std::int32_t c, QubitId m)
+    emitStore(std::int8_t c, QubitId m)
     {
         Instruction inst;
         inst.op = Opcode::ST;
@@ -196,7 +197,7 @@ class Emitter : public GateSink<Emitter>
     void
     emitLoaded1q(Opcode op_c, QubitId q, std::int32_t v = -1)
     {
-        const std::int32_t slot = nextSlot();
+        const std::int8_t slot = nextSlot();
         emitLoad(q, slot);
         emitC(op_c, slot, v);
         emitStore(slot, q);
@@ -209,7 +210,7 @@ class Emitter : public GateSink<Emitter>
     void
     emitTGadget(QubitId q)
     {
-        const std::int32_t magic_slot = nextSlot();
+        const std::int8_t magic_slot = nextSlot();
         const std::int32_t v_zz = prog_.newValue();
         const std::int32_t v_x = prog_.newValue();
         if (opts_.inMemoryOps) {
@@ -224,7 +225,7 @@ class Emitter : public GateSink<Emitter>
             guard(v_zz);
             emitM(Opcode::PH_M, q);
         } else {
-            const std::int32_t target_slot = nextSlot();
+            const std::int8_t target_slot = nextSlot();
             emitLoad(q, target_slot);
             emitC(Opcode::PM, magic_slot);
             Instruction zz;

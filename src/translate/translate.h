@@ -42,7 +42,8 @@ struct TranslateOptions
     bool inMemoryOps = true;
 
     /**
-     * Virtual CR slots to round-robin magic states over (>= 2). A
+     * Virtual CR slots to round-robin magic states over, in
+     * [2, kMaxCrSlots] (isa/instruction.h). A
      * translation-time schedule knob: it spreads consecutive
      * T-gadgets across CR names so independent gadgets can overlap.
      * Distinct from ArchConfig::crRegisters, the *machine's* CR cell

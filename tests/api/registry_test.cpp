@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "api/registry.h"
 #include "circuit/lowering.h"
 #include "common/error.h"
@@ -105,6 +107,27 @@ TEST(Registry, ProgramMatchesDirectTranslation)
         "ghz", Json::parse(R"({"num_qubits": 24})"));
     const Program direct = translate(lowerToCliffordT(makeGhz(24)));
     EXPECT_EQ(cached.disassemble(), direct.disassemble());
+}
+
+TEST(Registry, BuildsHoldNoGrowthSlack)
+{
+    // The emitter reserves the counted size up front, so no program a
+    // sweep keeps resident carries a vector's doubling slack: whole
+    // builds and prefix builds (cut at half the whole program).
+    BenchmarkRegistry registry = BenchmarkRegistry::paper();
+    for (const BenchmarkEntry &entry : registry.entries()) {
+        const Program &whole = registry.program(entry.name, Json());
+        EXPECT_EQ(whole.instructions().capacity(),
+                  whole.instructions().size())
+            << entry.name;
+        const Program &prefix =
+            registry.program(entry.name, Json(), {},
+                             std::max<std::int64_t>(1, whole.size() / 2));
+        EXPECT_LT(prefix.size(), whole.size()) << entry.name;
+        EXPECT_EQ(prefix.instructions().capacity(),
+                  prefix.instructions().size())
+            << entry.name;
+    }
 }
 
 TEST(Registry, HotFractionMatchesSelectLayout)

@@ -296,5 +296,20 @@ TEST(SerializeTranslate, RoundTripsAndValidates)
         ConfigError);
 }
 
+TEST(SerializeTranslate, RejectsMoreCrSlotsThanInstructionsHold)
+{
+    EXPECT_EQ(translateOptionsFromJson(Json::parse(R"({"cr_slots": 128})"))
+                  .crSlots,
+              kMaxCrSlots);
+    try {
+        translateOptionsFromJson(Json::parse(R"({"cr_slots": 129})"));
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("cr_slots"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 } // namespace
 } // namespace lsqca::api

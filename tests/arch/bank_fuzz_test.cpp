@@ -257,9 +257,10 @@ expectSameLayout(const Bank &opt, const RefBank &ref, std::int32_t n,
     for (QubitId q = 0; q < n; ++q) {
         ASSERT_EQ(opt.holds(q), ref.holds(q))
             << "seed " << seed << " step " << step << " qubit " << q;
-        if (opt.holds(q))
+        if (opt.holds(q)) {
             ASSERT_EQ(opt.positionOf(q), ref.positionOf(q))
                 << "seed " << seed << " step " << step << " qubit " << q;
+        }
     }
 }
 
@@ -527,9 +528,10 @@ TEST_P(GridDifferential, IndexMatchesReferenceScan)
         }
         ASSERT_EQ(opt.occupiedCount(), ref.occupiedCount())
             << "seed " << seed << " step " << step;
-        if (step % 64 == 0)
+        if (step % 64 == 0) {
             ASSERT_EQ(opt.emptyCells(), ref.emptyCells())
                 << "seed " << seed << " step " << step;
+        }
     }
 }
 

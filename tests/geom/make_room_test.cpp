@@ -66,8 +66,9 @@ TEST(MakeRoom, PreservesQubitSetAndOccupancy)
     std::set<QubitId> seen;
     for (std::int32_t r = 0; r < 4; ++r)
         for (std::int32_t c = 0; c < 5; ++c)
-            if (grid.at({r, c}) != kNoQubit)
+            if (grid.at({r, c}) != kNoQubit) {
                 EXPECT_TRUE(seen.insert(grid.at({r, c})).second);
+            }
     EXPECT_EQ(seen.size(), static_cast<std::size_t>(before));
 }
 

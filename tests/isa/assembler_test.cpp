@@ -99,6 +99,78 @@ TEST(Assembler, ErrorsCarryLineNumbers)
     }
 }
 
+/** assemble(@p text) throws a ConfigError that names line @p line. */
+void
+expectRejectedAtLine(const std::string &text, int line)
+{
+    try {
+        assemble(text);
+        ADD_FAILURE() << "expected ConfigError for:\n" << text;
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "line " + std::to_string(line) + ":"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Assembler, RejectsIndicesThatDoNotFitTheirOperand)
+{
+    // Narrowed unchecked, m4294967296 would read as m0 and c4294967297
+    // as c1, and a 20-digit index overflows even 64 bits.
+    expectRejectedAtLine("; lsqca program: 2 variables\n"
+                         "LD m4294967296, c0\n",
+                         2);
+    expectRejectedAtLine("LD m0, c4294967297\n", 1);
+    expectRejectedAtLine("HD.M m99999999999999999999\n", 1);
+    expectRejectedAtLine("HD.M m0\nMZ.M m0 -> v2147483647\n", 2);
+    // CR slots are single bytes: c300 would wrap.
+    expectRejectedAtLine("PM c300\n", 1);
+    expectRejectedAtLine("LD m0, c128\n", 1);
+}
+
+TEST(Assembler, RejectsOutOfRangeDirectives)
+{
+    expectRejectedAtLine("; lsqca program: 4294967297 variables\n"
+                         "HD.M m0\n",
+                         1);
+    expectRejectedAtLine("; lsqca program: many variables\nHD.M m0\n", 1);
+    expectRejectedAtLine("; lsqca program: 5 variables\n"
+                         "; register data: m0..m4294967299\n"
+                         "HD.M m0\n",
+                         2);
+    expectRejectedAtLine("; lsqca program: 5 variables\n"
+                         "; register data: m0..mx\n",
+                         2);
+    expectRejectedAtLine("; lsqca program: 5 variables\n"
+                         "; register data: m3..m1\n",
+                         2);
+}
+
+TEST(Assembler, RoundTripsHighestCrSlot)
+{
+    const auto top = static_cast<std::int8_t>(kMaxCrSlots - 1);
+    Program original(2);
+    Instruction ld;
+    ld.op = Opcode::LD;
+    ld.m0 = 1;
+    ld.c0 = top;
+    original.append(ld);
+    Instruction zz;
+    zz.op = Opcode::MZZ_C;
+    zz.c0 = 0;
+    zz.c1 = top;
+    zz.v0 = original.newValue();
+    original.append(zz);
+
+    const std::string text = original.disassemble();
+    ASSERT_NE(text.find("LD m1, c127"), std::string::npos) << text;
+    const Program reparsed = assemble(text);
+    EXPECT_EQ(reparsed.disassemble(), text);
+    EXPECT_EQ(reparsed.instructions()[0].c0, top);
+    EXPECT_EQ(reparsed.instructions()[1].c1, top);
+}
+
 TEST(Assembler, RoundTripsSmallProgram)
 {
     Circuit circ(3);

@@ -64,6 +64,10 @@ TEST(OpcodeInfo, OperandArities)
     EXPECT_EQ(opcodeInfo(Opcode::SK).numVal, 1);
 }
 
+// Long sweeps keep millions of instructions resident (fig15 --full's
+// five programs hold 8.7M); the record must not pad back out.
+static_assert(sizeof(Instruction) == 16);
+
 TEST(Instruction, LoadStoreRendering)
 {
     Instruction ld;

@@ -151,7 +151,8 @@ scanExtent(const Program &p, std::int64_t limit)
     for (std::int64_t i = 0; i < limit; ++i) {
         const Instruction &inst =
             p.instructions()[static_cast<std::size_t>(i)];
-        extent.maxSlot = std::max({extent.maxSlot, inst.c0, inst.c1});
+        extent.maxSlot =
+            std::max<std::int32_t>({extent.maxSlot, inst.c0, inst.c1});
         extent.maxValue = std::max(extent.maxValue, inst.v0);
     }
     return extent;

@@ -98,8 +98,9 @@ TEST_P(SchedulerProperties, MoreFactoriesNeverSlower)
     for (std::int32_t f : {1, 2, 4}) {
         opts.arch.factories = f;
         const auto beats = simulate(p, opts).execBeats;
-        if (prev >= 0)
+        if (prev >= 0) {
             EXPECT_LE(beats, prev) << "factories " << f;
+        }
         prev = beats;
     }
 }

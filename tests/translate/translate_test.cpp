@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "circuit/lowering.h"
 #include "common/error.h"
 #include "synth/benchmarks.h"
@@ -208,6 +210,28 @@ TEST(Translate, RejectsTooFewSlots)
     TranslateOptions opts;
     opts.crSlots = 1;
     EXPECT_THROW(translate(c, opts), ConfigError);
+}
+
+TEST(Translate, RejectsMoreSlotsThanInstructionsHold)
+{
+    Circuit c(1);
+    for (std::int32_t i = 0; i < kMaxCrSlots; ++i)
+        c.t(0);
+    TranslateOptions opts;
+    opts.crSlots = kMaxCrSlots + 1;
+    EXPECT_THROW(translate(c, opts), ConfigError);
+    EXPECT_THROW(lowerAndTranslate(c, opts), ConfigError);
+    EXPECT_THROW(
+        lowerAndTranslate(c, opts, ToffoliStyle::Textbook7T, 1),
+        ConfigError);
+    // At the cap, one T gadget per slot names every slot, the last
+    // one included.
+    opts.crSlots = kMaxCrSlots;
+    const Program p = lowerAndTranslate(c, opts);
+    std::int32_t highest = -1;
+    for (const Instruction &inst : p.instructions())
+        highest = std::max<std::int32_t>(highest, inst.c0);
+    EXPECT_EQ(highest, kMaxCrSlots - 1);
 }
 
 TEST(Translate, NonInMemoryMeasurementStaysInMemory)
