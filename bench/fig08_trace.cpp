@@ -14,6 +14,7 @@
 #include "analysis/trace_analysis.h"
 #include "bench_util.h"
 #include "circuit/lowering.h"
+#include "sim/collectors/trace_collector.h"
 #include "synth/benchmarks.h"
 #include "translate/translate.h"
 
@@ -25,26 +26,27 @@ struct TraceRun
     std::string name;
     Program program;
     SimResult result;
+    collectors::TraceCollector trace;
 };
 
 TraceRun
 runTrace(const std::string &name, const Circuit &circ,
          std::int64_t max_instructions)
 {
-    Program program = translate(lowerToCliffordT(circ));
+    TraceRun run{name, translate(lowerToCliffordT(circ)), {}, {}};
     SimOptions opts;
     opts.arch.sam = SamKind::Conventional;
     opts.arch.instantMagic = true;
-    opts.recordTrace = true;
     opts.maxInstructions = max_instructions;
-    SimResult result = simulate(program, opts);
-    return {name, std::move(program), std::move(result)};
+    opts.observers = {&run.trace};
+    run.result = simulate(run.program, opts);
+    return run;
 }
 
 void
 report(const TraceRun &run, const bench::BenchArgs &args)
 {
-    const TraceAnalysis analysis(run.program, run.result);
+    const TraceAnalysis analysis(run.program, run.trace);
 
     TextTable summary({"register", "qubits", "references",
                        "refs/qubit", "median period", "p90 period",
@@ -113,7 +115,7 @@ report(const TraceRun &run, const bench::BenchArgs &args)
     if (args.csvDir) {
         // Timestamp scatter (Fig. 8a/8c raw series) for plotting.
         TextTable scatter({"time", "qubit"});
-        for (const auto &sample : run.result.trace)
+        for (const auto &sample : run.trace.trace())
             scatter.addRow({std::to_string(sample.time),
                             std::to_string(sample.variable)});
         scatter.writeCsv(*args.csvDir + "/fig08_" + run.name +

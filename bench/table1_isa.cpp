@@ -54,20 +54,19 @@ probeOpcode(Opcode op)
             inst.c1 = 1;
         if (info.numVal >= 1)
             inst.v0 = v;
-        const std::int64_t before = p.size();
         p.append(inst);
 
         SimOptions opts;
         opts.arch.sam = SamKind::Point;
         opts.arch.instantMagic = true; // isolate the op itself
-        opts.recordTrace = false;
+        opts.recordBreakdown = true;
         const SimResult r = simulate(p, opts);
-        // Duration of the probed instruction alone.
-        const auto idx = static_cast<std::size_t>(inst.op);
-        std::int64_t dur = r.opcodeBeats[idx];
-        if (op == Opcode::LD)
-            dur = r.opcodeBeats[static_cast<std::size_t>(Opcode::LD)];
-        (void)before;
+        // Duration of the probed instruction alone: the only one of
+        // its opcode in the program.
+        std::int64_t dur = 0;
+        for (const OpcodeSplit &row : r.breakdown)
+            if (row.op == op)
+                dur = row.beats;
         stats.add(static_cast<double>(dur));
     }
     return stats;

@@ -45,23 +45,19 @@ main()
 
     SimOptions opts;
     opts.arch.sam = SamKind::Point;
+    opts.recordBreakdown = true;
     const SimResult r = simulate(program, opts);
 
     TextTable table({"opcode", "class latency", "count",
                      "occupied beats"});
-    for (int i = 0; i < kNumOpcodes; ++i) {
-        const auto op = static_cast<Opcode>(i);
-        if (r.opcodeCount[static_cast<std::size_t>(i)] == 0)
-            continue;
-        const OpcodeInfo &info = opcodeInfo(op);
-        table.addRow(
-            {info.mnemonic,
-             info.latency == kVariableLatency
-                 ? "variable"
-                 : std::to_string(info.latency),
-             std::to_string(r.opcodeCount[static_cast<std::size_t>(i)]),
-             std::to_string(
-                 r.opcodeBeats[static_cast<std::size_t>(i)])});
+    for (const OpcodeSplit &row : r.breakdown) {
+        const OpcodeInfo &info = opcodeInfo(row.op);
+        table.addRow({info.mnemonic,
+                      info.latency == kVariableLatency
+                          ? "variable"
+                          : std::to_string(info.latency),
+                      std::to_string(row.count),
+                      std::to_string(row.beats)});
     }
     std::cout << table.render("per-opcode execution statistics "
                               "(point-SAM, 1 factory)")

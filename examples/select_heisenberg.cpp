@@ -15,6 +15,7 @@
 #include "analysis/trace_analysis.h"
 #include "circuit/lowering.h"
 #include "common/table.h"
+#include "sim/collectors/trace_collector.h"
 #include "sim/simulator.h"
 #include "synth/benchmarks.h"
 #include "translate/translate.h"
@@ -44,8 +45,9 @@ main(int argc, char **argv)
     SimOptions ideal;
     ideal.arch.sam = SamKind::Conventional;
     ideal.arch.instantMagic = true;
-    ideal.recordTrace = true;
-    const SimResult trace = simulate(program, ideal);
+    collectors::TraceCollector trace;
+    ideal.observers = {&trace};
+    simulate(program, ideal);
     const TraceAnalysis analysis(program, trace);
 
     TextTable locality({"register", "references", "median period",

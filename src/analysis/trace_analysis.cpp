@@ -6,11 +6,12 @@
 
 namespace lsqca {
 
-TraceAnalysis::TraceAnalysis(const Program &program, const SimResult &result)
+TraceAnalysis::TraceAnalysis(const Program &program,
+                             const collectors::TraceCollector &trace)
 {
     const auto n = static_cast<std::size_t>(program.numVariables());
     perVar_.assign(n, {});
-    for (const TraceSample &s : result.trace) {
+    for (const collectors::TraceSample &s : trace.trace()) {
         LSQCA_REQUIRE(s.variable >= 0 &&
                           static_cast<std::size_t>(s.variable) < n,
                       "trace sample variable out of range");
@@ -43,8 +44,8 @@ TraceAnalysis::TraceAnalysis(const Program &program, const SimResult &result)
         }
     }
 
-    if (result.magicTimes.size() >= 2) {
-        auto times = result.magicTimes;
+    if (trace.magicTimes().size() >= 2) {
+        auto times = trace.magicTimes();
         std::sort(times.begin(), times.end());
         const auto span = static_cast<double>(times.back() - times.front());
         magicInterval_ = span / static_cast<double>(times.size() - 1);

@@ -14,7 +14,7 @@
 
 #include "common/stats.h"
 #include "isa/program.h"
-#include "sim/result.h"
+#include "sim/collectors/trace_collector.h"
 
 namespace lsqca {
 
@@ -31,10 +31,11 @@ class TraceAnalysis
 {
   public:
     /**
-     * Analyze @p result (must have been simulated with recordTrace) for
-     * @p program (supplies register names).
+     * Analyze the trace @p trace collected while simulating @p program
+     * (which supplies register names).
      */
-    TraceAnalysis(const Program &program, const SimResult &result);
+    TraceAnalysis(const Program &program,
+                  const collectors::TraceCollector &trace);
 
     /** Sorted reference timestamps of one variable. */
     const std::vector<std::int64_t> &timestamps(std::int32_t var) const;

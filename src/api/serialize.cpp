@@ -66,7 +66,6 @@ toJson(const ArchConfig &cfg)
     doc.set("banks", cfg.banks);
     doc.set("factories", cfg.factories);
     doc.set("buffer_cap", cfg.bufferCap);
-    doc.set("cr_registers", cfg.crRegisters);
     doc.set("hybrid_fraction", cfg.hybridFraction);
     doc.set("locality_store", cfg.localityStore);
     doc.set("in_memory_ops", cfg.inMemoryOps);
@@ -91,7 +90,6 @@ applyArchPatch(ArchConfig &cfg, const Json &patch)
     reader.readInt32("banks", cfg.banks, 1, max);
     reader.readInt32("factories", cfg.factories, 1, max);
     reader.readInt32("buffer_cap", cfg.bufferCap, -1, max);
-    reader.readInt32("cr_registers", cfg.crRegisters, 2, max);
     reader.readDouble("hybrid_fraction", cfg.hybridFraction, 0.0, 1.0);
     reader.readBool("locality_store", cfg.localityStore);
     reader.readBool("in_memory_ops", cfg.inMemoryOps);
@@ -155,11 +153,10 @@ toJson(const SimOptions &options)
     Json doc = Json::object();
     doc.set("arch", toJson(options.arch));
     doc.set("max_instructions", options.maxInstructions);
-    doc.set("record_trace", options.recordTrace);
     doc.set("record_breakdown", options.recordBreakdown);
     // Omitted when exact, so exact-mode documents — and everything
-    // fingerprinted from them (shard manifests, cache keys) — are
-    // byte-identical to pre-estimator output.
+    // fingerprinted from them (shard manifests, cache keys) — never
+    // depend on the estimator's defaults.
     if (options.estimator.mode != estimate::EstimatorMode::Exact)
         doc.set("estimator", toJson(options.estimator));
     return doc;
@@ -174,7 +171,6 @@ simOptionsFromJson(const Json &doc)
         options.arch = archConfigFromJson(*arch);
     reader.readInt64("max_instructions", options.maxInstructions, 0,
                      std::numeric_limits<std::int64_t>::max());
-    reader.readBool("record_trace", options.recordTrace);
     reader.readBool("record_breakdown", options.recordBreakdown);
     if (const Json *estimator = reader.find("estimator"))
         options.estimator = estimatorOptionsFromJson(*estimator);

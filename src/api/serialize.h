@@ -61,10 +61,10 @@ Json toJson(const estimate::EstimatorOptions &options);
 estimate::EstimatorOptions estimatorOptionsFromJson(const Json &doc);
 
 /**
- * Full SimOptions document: arch + max_instructions + record_trace +
+ * Full SimOptions document: arch + max_instructions +
  * record_breakdown, plus an "estimator" block only when the mode is
- * not exact — exact-mode documents (and their fingerprints) are
- * byte-identical to pre-estimator output. SimOptions::observers are
+ * not exact, so exact-mode documents (and their fingerprints) never
+ * depend on the estimator's defaults. SimOptions::observers are
  * runtime-only (borrowed pointers) and are never serialized; a
  * deserialized options object always has an empty observer list.
  */

@@ -224,7 +224,6 @@ SweepSpec::fromJson(const Json &doc)
                       "spec.arch_base must be an object");
         spec.archBase = *base;
     }
-    reader.readBool("record_trace", spec.recordTrace);
     reader.readBool("record_breakdown", spec.recordBreakdown);
     if (const Json *estimator = reader.find("estimator")) {
         LSQCA_REQUIRE(v2, "spec.estimator requires schema \"" +
@@ -278,8 +277,6 @@ SweepSpec::toJson() const
         doc.set("name_template", nameTemplate);
     if (!archBase.isNull())
         doc.set("arch_base", archBase);
-    if (recordTrace)
-        doc.set("record_trace", recordTrace);
     if (recordBreakdown)
         doc.set("record_breakdown", recordBreakdown);
     if (v2)
@@ -445,7 +442,6 @@ expandSpec(const SweepSpec &spec, const BenchmarkRegistry &registry)
         cfg.validate();
         job.options.arch = cfg;
         job.options.maxInstructions = prefix;
-        job.options.recordTrace = spec.recordTrace;
         job.options.recordBreakdown = spec.recordBreakdown;
         job.options.estimator = spec.estimator;
         job.name = renderName(spec.nameTemplate, spec.axes, fragments,

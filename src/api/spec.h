@@ -85,8 +85,6 @@ struct SweepSpec
     std::string nameTemplate;
     /** Partial ArchConfig applied to every point before axis patches. */
     Json archBase;
-    /** Record memory/magic traces on every job. */
-    bool recordTrace = false;
     /**
      * Collect per-opcode latency breakdowns on every job; the sweep's
      * BENCH document then uses schema `lsqca-bench-v2` with a

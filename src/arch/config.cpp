@@ -77,8 +77,6 @@ ArchConfig::validate() const
     LSQCA_REQUIRE(sam != SamKind::Point || banks <= 2,
                   "point-SAM supports at most two banks (Sec. V-A)");
     LSQCA_REQUIRE(factories >= 1, "factory count must be >= 1");
-    LSQCA_REQUIRE(crRegisters >= 2,
-                  "CR needs at least two register cells");
     LSQCA_REQUIRE(hybridFraction >= 0.0 && hybridFraction <= 1.0,
                   "hybrid fraction must lie in [0, 1]");
     LSQCA_REQUIRE(lat.msfPeriod >= 1, "MSF period must be positive");

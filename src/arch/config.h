@@ -79,7 +79,6 @@ struct ArchConfig
     std::int32_t banks = 1;       ///< SAM bank count (point: 1-2)
     std::int32_t factories = 1;   ///< MSF count
     std::int32_t bufferCap = -1;  ///< magic buffer; -1 = 2 * factories
-    std::int32_t crRegisters = 2; ///< CR register cells (paper fixes 2)
     /**
      * Hybrid floorplan ratio f (Sec. VI-C): the ceil(f * n) most
      * referenced variables live in a conventional region attached to CR.

@@ -22,25 +22,6 @@ SummaryStats::add(double x)
     m2_ += delta * (x - mean_);
 }
 
-void
-SummaryStats::merge(const SummaryStats &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const auto na = static_cast<double>(count_);
-    const auto nb = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    mean_ += delta * nb / (na + nb);
-    m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
-    count_ += other.count_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
 double
 SummaryStats::min() const
 {
@@ -151,39 +132,6 @@ geomean(const std::vector<double> &values)
         log_sum += std::log(v);
     }
     return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0)
-{
-    LSQCA_REQUIRE(bins > 0, "Histogram needs at least one bin");
-    LSQCA_REQUIRE(hi > lo, "Histogram range must be non-empty");
-}
-
-void
-Histogram::add(double x)
-{
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    auto idx = static_cast<std::int64_t>(std::floor((x - lo_) / width));
-    idx = std::clamp<std::int64_t>(
-        idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-}
-
-std::uint64_t
-Histogram::binCount(std::size_t i) const
-{
-    LSQCA_REQUIRE(i < counts_.size(), "Histogram bin out of range");
-    return counts_[i];
-}
-
-double
-Histogram::binLow(std::size_t i) const
-{
-    LSQCA_REQUIRE(i < counts_.size(), "Histogram bin out of range");
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    return lo_ + width * static_cast<double>(i);
 }
 
 } // namespace lsqca

@@ -8,7 +8,6 @@
  */
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace lsqca {
@@ -22,9 +21,6 @@ class SummaryStats
   public:
     /** Add one observation. */
     void add(double x);
-
-    /** Merge another summary into this one. */
-    void merge(const SummaryStats &other);
 
     std::size_t count() const { return count_; }
     double min() const;
@@ -81,29 +77,6 @@ class EmpiricalCdf
 
 /** Geometric mean of positive values. @pre all values > 0 and non-empty. */
 double geomean(const std::vector<double> &values);
-
-/**
- * Integer histogram with fixed-width bins over [lo, hi); out-of-range
- * samples clamp into the first/last bin.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-    std::size_t bins() const { return counts_.size(); }
-    std::uint64_t binCount(std::size_t i) const;
-    /** Inclusive lower edge of bin i. */
-    double binLow(std::size_t i) const;
-    std::uint64_t total() const { return total_; }
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-};
 
 } // namespace lsqca
 

@@ -113,11 +113,7 @@ runSampled(const Program &prog, const SimOptions &opts)
         // The measured unit [begin, end).
         const std::int64_t unitStartBeats = epochMaxEnd;
         for (; pos < end; ++pos) {
-            const Instruction &inst = code[pos];
-            const auto step = machine.executeOne(inst);
-            const auto op_idx = static_cast<std::size_t>(inst.op);
-            ++result.opcodeCount[op_idx];
-            result.opcodeBeats[op_idx] += step.end - step.start;
+            const auto step = machine.executeOne(code[pos]);
             memSum += step.memoryBeats;
             epochMaxEnd = std::max(epochMaxEnd, step.end);
             ++detailed;

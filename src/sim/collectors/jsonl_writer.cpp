@@ -1,7 +1,6 @@
 #include "sim/collectors/jsonl_writer.h"
 
 #include "arch/config.h"
-#include "sim/collectors/timeline.h"
 #include "sim/result.h"
 
 namespace lsqca::collectors {
@@ -35,38 +34,6 @@ splitToJson(const LatencySplit &split)
 
 } // namespace
 
-Json
-instructionLine(const InstructionEvent &event)
-{
-    Json line = Json::object();
-    line.set("event", "instr");
-    line.set("i", event.index);
-    line.set("op", mnemonic(event.inst.op));
-    if (event.inst.m0 >= 0)
-        line.set("m0", event.inst.m0);
-    if (event.inst.m1 >= 0)
-        line.set("m1", event.inst.m1);
-    if (event.inst.c0 >= 0)
-        line.set("c0", event.inst.c0);
-    if (event.inst.c1 >= 0)
-        line.set("c1", event.inst.c1);
-    if (event.inst.v0 >= 0)
-        line.set("v0", event.inst.v0);
-    line.set("start", event.start);
-    line.set("end", event.end);
-    const Json split = splitToJson(event.split);
-    if (split.size() > 0)
-        line.set("split", split);
-    return line;
-}
-
-void
-Timeline::writeJsonl(std::ostream &out) const
-{
-    for (const InstructionEvent &event : records())
-        out << instructionLine(event).dump(0) << '\n';
-}
-
 void
 JsonlWriter::onSimBegin(const SimBeginEvent &event)
 {
@@ -89,7 +56,26 @@ JsonlWriter::onSimBegin(const SimBeginEvent &event)
 void
 JsonlWriter::onInstruction(const InstructionEvent &event)
 {
-    emit(instructionLine(event));
+    Json line = Json::object();
+    line.set("event", "instr");
+    line.set("i", event.index);
+    line.set("op", mnemonic(event.inst.op));
+    if (event.inst.m0 >= 0)
+        line.set("m0", event.inst.m0);
+    if (event.inst.m1 >= 0)
+        line.set("m1", event.inst.m1);
+    if (event.inst.c0 >= 0)
+        line.set("c0", event.inst.c0);
+    if (event.inst.c1 >= 0)
+        line.set("c1", event.inst.c1);
+    if (event.inst.v0 >= 0)
+        line.set("v0", event.inst.v0);
+    line.set("start", event.start);
+    line.set("end", event.end);
+    const Json split = splitToJson(event.split);
+    if (split.size() > 0)
+        line.set("split", split);
+    emit(line);
 }
 
 void

@@ -36,9 +36,6 @@
 
 namespace lsqca::collectors {
 
-/** One "instr" line document for @p event (shared with Timeline). */
-Json instructionLine(const InstructionEvent &event);
-
 class JsonlWriter : public SimObserver
 {
   public:

@@ -3,14 +3,13 @@
 
 /**
  * @file
- * Timeline: a bounded ring of instruction issue records for JSONL
- * export. Keeps the last `capacity` InstructionEvents (default 4096),
- * so tracing a multi-million-instruction run costs constant memory;
- * records() returns them oldest-first.
+ * Timeline: a bounded ring of instruction issue records. Keeps the
+ * last `capacity` InstructionEvents (default 4096), so tracing a
+ * multi-million-instruction run costs constant memory; records()
+ * returns them oldest-first.
  */
 
 #include <cstdint>
-#include <ostream>
 #include <vector>
 
 #include "sim/observer.h"
@@ -51,12 +50,6 @@ class Timeline : public SimObserver
             ordered.push_back(ring_[(next_ + i) % ring_.size()]);
         return ordered;
     }
-
-    /**
-     * Write the retained records as JSONL issue records (the same
-     * "instr" line schema JsonlWriter streams live).
-     */
-    void writeJsonl(std::ostream &out) const;
 
   private:
     std::size_t capacity_;

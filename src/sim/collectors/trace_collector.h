@@ -3,22 +3,25 @@
 
 /**
  * @file
- * TraceCollector: the Fig. 8 trace vectors as an observer.
- *
- * Reproduces exactly what the pre-observer simulator recorded inline
- * under SimOptions::recordTrace — one TraceSample per memory operand at
- * instruction start, PM retire times, and per-instruction memory-motion
- * samples. recordTrace is now a thin shim: simulate() attaches one of
- * these internally and moves its vectors into the SimResult, so the two
- * surfaces can never drift (pinned by tests/sim/observer_test.cpp).
+ * TraceCollector: the Fig. 8 trace vectors as an observer — one
+ * TraceSample per memory operand at instruction start, PM retire
+ * times, and per-instruction memory-motion samples. TraceAnalysis
+ * (analysis/trace_analysis.h) reads them.
  */
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/observer.h"
-#include "sim/result.h"
 
 namespace lsqca::collectors {
+
+/** One memory reference: instruction start time x variable. */
+struct TraceSample
+{
+    std::int64_t time = 0;
+    std::int32_t variable = -1;
+};
 
 class TraceCollector : public SimObserver
 {
@@ -38,23 +41,23 @@ class TraceCollector : public SimObserver
             motionSamples_.push_back(motion);
     }
 
+    /** Memory references in program order. */
     const std::vector<TraceSample> &trace() const { return trace_; }
+
+    /** PM retire times: the magic-state demand timeline. */
     const std::vector<std::int64_t> &magicTimes() const
     {
         return magicTimes_;
     }
+
+    /**
+     * Memory-motion beats (seek / pick / align / load / store), one
+     * sample per instruction that moved anything: the empirical shape
+     * of the "variable latency" the LSQCA ISA exposes.
+     */
     const std::vector<std::int64_t> &motionSamples() const
     {
         return motionSamples_;
-    }
-
-    /** Move the vectors into @p result (the recordTrace shim). */
-    void
-    moveInto(SimResult &result)
-    {
-        result.trace = std::move(trace_);
-        result.magicTimes = std::move(magicTimes_);
-        result.motionSamples = std::move(motionSamples_);
     }
 
   private:

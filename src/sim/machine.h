@@ -45,11 +45,11 @@
  * loops over the lanes (eachLane()). Every timeline keeps one entry
  * per lane, lane-minor (entry e of lane l at index e * lanes + l): the
  * ready times per variable, value slot, CR slot and scan cell, and each
- * lane's SK barrier, row-parallel window, MagicSource, per-opcode beats
- * and execBeats. The row-parallel window is the one bank decision that
- * reads timing, so it is the lane vote: lane 0's vote drives the banks,
- * and a lane that votes otherwise is marked diverged(); its runner
- * re-simulates it alone (simulateLanes()). A solo machine (simulate(),
+ * lane's SK barrier, row-parallel window, MagicSource and execBeats.
+ * The row-parallel window is the one bank decision that reads timing,
+ * so it is the lane vote: lane 0's vote drives the banks, and a lane
+ * that votes otherwise is marked diverged(); its runner re-simulates
+ * it alone (simulateLanes()). A solo machine (simulate(),
  * the estimator) is the one-lane instantiation of the same exec paths:
  * LANES = 1 folds every lane loop and stride away, and indexes value
  * ready times by value id instead of by slot (valueRow()).
@@ -133,13 +133,13 @@ class Machine
     using Bank = std::conditional_t<KIND == SamKind::Line, LineSamBank,
                                     PointSamBank>;
 
-    /** @p PER values per lane, lane-minor: a fixed array once LANES is
-     *  known, so a solo machine keeps them as plain members. */
-    template <typename T, std::size_t PER = 1>
+    /** One value per lane: a fixed array once LANES is known, so a
+     *  solo machine keeps them as plain members. */
+    template <typename T>
     using PerLane =
         std::conditional_t<LANES == kAnyLanes, std::vector<T>,
-                           std::array<T, PER * static_cast<std::size_t>(
-                                                   LANES)>>;
+                           std::array<T, static_cast<std::size_t>(
+                                             LANES)>>;
 
   public:
     /** A solo machine running @p opts. */
@@ -174,7 +174,6 @@ class Machine
             barrier_.assign(count, 0);
             rowStart_.assign(count, 0);
             rowEnd_.assign(count, 0);
-            opcodeBeats_.assign(count * kNumOpcodes, 0);
             execBeats_.assign(count, 0);
             diverged_.assign(count, 0);
         }
@@ -213,9 +212,9 @@ class Machine
     __attribute__((noinline)) SimResult
     run(const std::vector<SimObserver *> &observers = {})
     {
-        // The lane-independent sums: instruction counts and the bank's
-        // memory beats. Accumulated in a local so they can stay in
-        // registers across the loop.
+        // The lane-independent sums: the CPI denominator and the
+        // bank's memory beats. Accumulated in a local so they can stay
+        // in registers across the loop.
         SimResult shared;
         const std::int64_t limit = instructionLimit();
         if constexpr (OBSERVE)
@@ -229,7 +228,6 @@ class Machine
                 pendingCells_.clear();
             }
             const Step step = executeOne(inst);
-            ++shared.opcodeCount[static_cast<std::size_t>(inst.op)];
             shared.memoryBeats += step.memoryBeats;
             // Every non-LD/ST instruction enters the CPI denominator.
             shared.countedInstructions +=
@@ -294,9 +292,6 @@ class Machine
     {
         LSQCA_ASSERT(!diverged(l), "a diverged lane has no result");
         SimResult result = shared_;
-        for (std::size_t op = 0; op < result.opcodeBeats.size(); ++op)
-            result.opcodeBeats[op] =
-                opcodeBeats_[row(static_cast<std::int64_t>(op)) + l];
         result.execBeats = execBeats_[l];
         result.floorplan = floorplan();
         result.instructionsSimulated = instructionLimit();
@@ -601,9 +596,9 @@ class Machine
 
     /**
      * Detach the bank hooks. The SimEndEvent itself is emitted by
-     * simulate(), after the recordTrace/recordBreakdown shims have
-     * moved their output into the result — observers were promised
-     * the *finished* SimResult, trace vectors and breakdown included.
+     * simulate(), after the recordBreakdown shim has copied its rows
+     * into the result — observers were promised the *finished*
+     * SimResult, breakdown included.
      */
     void
     endObservation()
@@ -961,20 +956,18 @@ class Machine
 
     /**
      * The timing half of an exec path: @p span(l) advances lane l's
-     * timelines past @p inst and returns when it ran, and each lane's
-     * beats are accounted here. @p memory is the bank's motion, which
-     * every lane shares. Returns the last lane's step: a solo
-     * machine's only one.
+     * timelines past the instruction and returns when it ran, and each
+     * lane's execBeats is accounted here. @p memory is the bank's
+     * motion, which every lane shares. Returns the last lane's step: a
+     * solo machine's only one.
      */
     template <typename F>
     Step
-    eachLane(const Instruction &inst, std::int64_t memory, F &&span)
+    eachLane(std::int64_t memory, F &&span)
     {
         Step step;
-        const std::size_t beats = row(static_cast<std::int64_t>(inst.op));
         for (std::size_t l = 0; l < lanes(); ++l) {
             const Span ran = span(l);
-            opcodeBeats_[beats + l] += ran.end - ran.start;
             execBeats_[l] = maxOf(execBeats_[l], ran.end);
             step = {ran.start, ran.end, memory};
         }
@@ -1025,7 +1018,7 @@ class Machine
         std::int64_t *var = varRow(inst.m0);
         if (isConv(inst.m0)) {
             // Conventional-region qubits are always register-adjacent.
-            return eachLane(inst, 0, [&](std::size_t l) {
+            return eachLane(0, [&](std::size_t l) {
                 const std::int64_t start =
                     maxOf(var[l], slot[l], takeBarrier(l));
                 var[l] = slot[l] = start;
@@ -1035,7 +1028,7 @@ class Machine
         std::int64_t *scan = scanRow(inst.m0);
         const std::int64_t cost = LOAD ? takeLoad(bank(inst.m0), inst.m0)
                                        : takeStore(bank(inst.m0), inst.m0);
-        return eachLane(inst, cost, [&](std::size_t l) {
+        return eachLane(cost, [&](std::size_t l) {
             const std::int64_t start =
                 maxOf(var[l], slot[l], scan[l], takeBarrier(l));
             const std::int64_t end = start + cost;
@@ -1048,7 +1041,7 @@ class Machine
     execPrepC(const Instruction &inst)
     {
         std::int64_t *slot = slotRow(inst.c0);
-        return eachLane(inst, 0, [&](std::size_t l) {
+        return eachLane(0, [&](std::size_t l) {
             const std::int64_t start = std::max(slot[l], takeBarrier(l));
             slot[l] = start;
             return Span{start, start};
@@ -1060,7 +1053,7 @@ class Machine
     {
         std::int64_t *slot = slotRow(inst.c0);
         ++pmExecuted_;
-        return eachLane(inst, 0, [&](std::size_t l) {
+        return eachLane(0, [&](std::size_t l) {
             const std::int64_t req = std::max(slot[l], takeBarrier(l));
             const MagicSource::Grant grant = magic_[l].acquire(req);
             slot[l] = grant.end;
@@ -1079,7 +1072,7 @@ class Machine
                                        : cfg_.lat.phase;
         if constexpr (OBSERVE)
             split_.compute += beats;
-        return eachLane(inst, 0, [&](std::size_t l) {
+        return eachLane(0, [&](std::size_t l) {
             const std::int64_t start = std::max(slot[l], takeBarrier(l));
             const std::int64_t end = start + beats;
             slot[l] = end;
@@ -1092,7 +1085,7 @@ class Machine
     {
         std::int64_t *slot = slotRow(inst.c0);
         std::int64_t *value = valueRow(inst.v0);
-        return eachLane(inst, 0, [&](std::size_t l) {
+        return eachLane(0, [&](std::size_t l) {
             const std::int64_t start = std::max(slot[l], takeBarrier(l));
             slot[l] = start;
             value[l] = start;
@@ -1109,7 +1102,7 @@ class Machine
         const std::int64_t surgery = cfg_.lat.surgery;
         if constexpr (OBSERVE)
             split_.surgery += surgery;
-        return eachLane(inst, 0, [&](std::size_t l) {
+        return eachLane(0, [&](std::size_t l) {
             const std::int64_t start =
                 maxOf(slot0[l], slot1[l], takeBarrier(l));
             const std::int64_t end = start + surgery;
@@ -1126,7 +1119,7 @@ class Machine
         const std::int64_t wait = cfg_.lat.skWait;
         if constexpr (OBSERVE)
             split_.skWait += wait;
-        return eachLane(inst, 0, [&](std::size_t l) {
+        return eachLane(0, [&](std::size_t l) {
             const std::int64_t start = std::max(value[l], takeBarrier(l));
             const std::int64_t end = start + wait;
             barrier_[l] = end; // gates only the next instruction
@@ -1139,7 +1132,7 @@ class Machine
     {
         std::int64_t *var = varRow(inst.m0);
         std::int64_t *value = inst.v0 >= 0 ? valueRow(inst.v0) : nullptr;
-        return eachLane(inst, 0, [&](std::size_t l) {
+        return eachLane(0, [&](std::size_t l) {
             const std::int64_t start = std::max(var[l], takeBarrier(l));
             var[l] = start;
             if (value != nullptr)
@@ -1158,7 +1151,7 @@ class Machine
         if (isConv(inst.m0)) {
             if constexpr (OBSERVE)
                 split_.compute += beats;
-            return eachLane(inst, 0, [&](std::size_t l) {
+            return eachLane(0, [&](std::size_t l) {
                 const std::int64_t start = std::max(var[l], takeBarrier(l));
                 const std::int64_t end = start + beats;
                 var[l] = end;
@@ -1196,7 +1189,7 @@ class Machine
                 if (window) {
                     // A shared window: no split components — the
                     // motion and compute were charged to the opener.
-                    return eachLane(inst, 0, [&](std::size_t l) {
+                    return eachLane(0, [&](std::size_t l) {
                         var[l] = rowEnd_[l];
                         return Span{rowStart_[l], rowEnd_[l]};
                     });
@@ -1213,7 +1206,7 @@ class Machine
             // The align moved the gap, not the target: row still holds.
             rowBatch_ = {true, inst.op, bankOf(inst.m0), target_row};
         }
-        return eachLane(inst, motion, [&](std::size_t l) {
+        return eachLane(motion, [&](std::size_t l) {
             const std::int64_t start =
                 maxOf(var[l], scan[l], takeBarrier(l));
             const std::int64_t end = start + motion + beats;
@@ -1236,7 +1229,7 @@ class Machine
         if constexpr (OBSERVE)
             split_.surgery += surgery;
         if (isConv(inst.m0)) {
-            return eachLane(inst, 0, [&](std::size_t l) {
+            return eachLane(0, [&](std::size_t l) {
                 const std::int64_t start =
                     maxOf(var[l], slot[l], takeBarrier(l));
                 const std::int64_t end = start + surgery;
@@ -1254,7 +1247,7 @@ class Machine
         Bank *b = bank(inst.m0);
         if (cfg_.inMemoryOps) {
             const std::int64_t motion = takeInMem2q(b, inst.m0);
-            return eachLane(inst, motion, [&](std::size_t l) {
+            return eachLane(motion, [&](std::size_t l) {
                 const std::int64_t motion_start =
                     maxOf(var[l], scan[l], takeBarrier(l));
                 const std::int64_t surgery_start =
@@ -1275,7 +1268,7 @@ class Machine
         }
         const std::int64_t motion = takeLoad(b, inst.m0);
         const std::int64_t st = takeStore(b, inst.m0);
-        return eachLane(inst, motion + st, [&](std::size_t l) {
+        return eachLane(motion + st, [&](std::size_t l) {
             const std::int64_t motion_start =
                 maxOf(var[l], scan[l], takeBarrier(l));
             const std::int64_t surgery_start =
@@ -1305,7 +1298,7 @@ class Machine
             split_.surgery += surgery2;
 
         if (conv0 && conv1) {
-            return eachLane(inst, 0, [&](std::size_t l) {
+            return eachLane(0, [&](std::size_t l) {
                 const std::int64_t start =
                     maxOf(var0[l], var1[l], takeBarrier(l));
                 const std::int64_t end = start + surgery2;
@@ -1321,7 +1314,7 @@ class Machine
             const std::int64_t motion =
                 cfg_.inMemoryOps ? takeInMem2q(b, q)
                                  : takeRoundTrip(b, q);
-            return eachLane(inst, motion, [&](std::size_t l) {
+            return eachLane(motion, [&](std::size_t l) {
                 const std::int64_t start =
                     maxOf(var0[l], var1[l], scan[l], takeBarrier(l));
                 const std::int64_t end = start + motion + surgery2;
@@ -1412,7 +1405,7 @@ class Machine
             hold0 = KIND == SamKind::Point ? pos0 : length;
             hold1 = KIND == SamKind::Point ? pos1 : length;
         }
-        return eachLane(inst, motion, [&](std::size_t l) {
+        return eachLane(motion, [&](std::size_t l) {
             const std::int64_t start = maxOf(var0[l], var1[l], scan0[l],
                                              scan1[l], takeBarrier(l));
             const std::int64_t end = start + length;
@@ -1459,7 +1452,6 @@ class Machine
     PerLane<std::int64_t> rowEnd_{};
 
     // Per-lane accounting; shared_ holds run()'s lane-independent sums.
-    PerLane<std::int64_t, kNumOpcodes> opcodeBeats_{};
     PerLane<std::int64_t> execBeats_{};
     PerLane<std::uint8_t> diverged_{};
     SimResult shared_;

@@ -25,9 +25,9 @@
  *    finished SimResult.
  *
  * Built-in collectors live in src/sim/collectors/: TraceCollector
- * (the Fig. 8 vectors; SimOptions::recordTrace is a shim over it),
- * StallAttribution, BankHeatmap, Timeline, and JsonlWriter (the
- * `lsqca trace` exporter).
+ * (the Fig. 8 vectors), StallAttribution (per-opcode counts and beats;
+ * SimOptions::recordBreakdown is a shim over it), BankHeatmap,
+ * Timeline, and JsonlWriter (the `lsqca trace` exporter).
  */
 
 #include <cstdint>
@@ -240,7 +240,8 @@ struct OpcodeSplit
     Opcode op = Opcode::LD;
     /** Instructions of this opcode simulated. */
     std::int64_t count = 0;
-    /** Occupied beats (duration sums, equals SimResult::opcodeBeats). */
+    /** Occupied beats: the sum of end - start over those instructions
+     *  (durations, not critical path). */
     std::int64_t beats = 0;
     LatencySplit split;
 

@@ -3,27 +3,19 @@
 
 /**
  * @file
- * Simulation outputs: execution time, CPI, density, per-opcode
- * breakdowns, and (optionally) the memory-reference trace that feeds the
- * Fig. 8 analysis.
+ * Simulation outputs: execution time, CPI, density and, on request,
+ * the per-opcode latency breakdown. Event-level telemetry (the Fig. 8
+ * memory-reference trace among it) comes from the collectors in
+ * sim/collectors/ (docs/OBSERVERS.md).
  */
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "arch/floorplan.h"
-#include "isa/instruction.h"
 #include "sim/observer.h"
 
 namespace lsqca {
-
-/** One memory reference: instruction start time x variable. */
-struct TraceSample
-{
-    std::int64_t time = 0;
-    std::int32_t variable = -1;
-};
 
 /** Outcome of one code-beat-accurate simulation. */
 struct SimResult
@@ -53,33 +45,15 @@ struct SimResult
     /** Cell accounting and density for the simulated configuration. */
     FloorplanStats floorplan;
 
-    /** Per-opcode instruction counts. */
-    std::array<std::int64_t, kNumOpcodes> opcodeCount{};
-
-    /** Per-opcode occupied beats (duration sums, not critical path). */
-    std::array<std::int64_t, kNumOpcodes> opcodeBeats{};
-
-    /** Memory reference samples (only when SimOptions::recordTrace). */
-    std::vector<TraceSample> trace;
-
-    /** PM issue times (magic-state demand timeline; with recordTrace). */
-    std::vector<std::int64_t> magicTimes;
-
     /**
-     * Per-instruction memory-motion latencies (beats of seek / pick /
-     * align / load / store work), one sample per instruction that moved
-     * anything (with recordTrace). This is the empirical shape of the
-     * "variable latency" the LSQCA ISA exposes.
-     */
-    std::vector<std::int64_t> motionSamples;
-
-    /**
-     * Structured per-opcode latency breakdown (only with
+     * Per-opcode latency breakdown (only with
      * SimOptions::recordBreakdown): one entry per opcode that appears
-     * in the simulated prefix, in opcode order, with its beats split
-     * into compute vs. each memory-motion component vs. magic stall.
-     * Serialized by api::toJson / api::breakdownFromJson and carried
-     * by `lsqca-bench-v2` BENCH entries.
+     * in the simulated prefix, in opcode order, with its instruction
+     * count, occupied beats (duration sums, not critical path), and
+     * those beats split into compute vs. each memory-motion component
+     * vs. magic stall. Serialized by api::toJson /
+     * api::breakdownFromJson and carried by `lsqca-bench-v2` BENCH
+     * entries.
      */
     std::vector<OpcodeSplit> breakdown;
 

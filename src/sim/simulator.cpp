@@ -5,7 +5,6 @@
 #include "common/error.h"
 #include "estimate/sampled.h"
 #include "sim/collectors/stall_attribution.h"
-#include "sim/collectors/trace_collector.h"
 #include "sim/machine.h"
 
 namespace lsqca {
@@ -60,8 +59,8 @@ withoutMagicSupply(ArchConfig arch)
 bool
 plainExact(const SimOptions &options)
 {
-    return options.observers.empty() && !options.recordTrace &&
-           !options.recordBreakdown && !options.estimator.sampled();
+    return options.observers.empty() && !options.recordBreakdown &&
+           !options.estimator.sampled();
 }
 
 SimResult
@@ -101,15 +100,12 @@ simulate(const Program &program, const SimOptions &options)
                       "SimOptions::observers must not contain nullptr");
     if (options.estimator.sampled()) {
         options.estimator.validate();
-        LSQCA_REQUIRE(options.observers.empty() &&
-                          !options.recordTrace &&
-                          !options.recordBreakdown,
-                      "sampled estimation is incompatible with "
-                      "observers, recordTrace, and recordBreakdown "
-                      "(detailed coverage is partial)");
+        LSQCA_REQUIRE(options.observers.empty() && !options.recordBreakdown,
+                      "sampled estimation is incompatible with observers "
+                      "and recordBreakdown (detailed coverage is partial)");
         return estimate::simulateSampled(program, options);
     }
-    if (!options.recordTrace && !options.recordBreakdown) {
+    if (!options.recordBreakdown) {
         if (options.observers.empty())
             return dispatch(program, options, options.observers);
         SimResult result =
@@ -118,27 +114,18 @@ simulate(const Program &program, const SimOptions &options)
         return result;
     }
 
-    // The recordTrace / recordBreakdown flags are thin shims over the
-    // built-in collectors: attach one internally, then move its output
-    // into the result, so the legacy surface and the observer API can
-    // never drift. Constructed only on this branch — the plain path
-    // must not pay for zero-initializing the collectors' tables. The
-    // SimEndEvent fires only after the shims have landed, so every
-    // observer's onSimEnd sees the complete result (trace vectors and
-    // breakdown included).
-    collectors::TraceCollector trace_shim;
+    // recordBreakdown is a thin shim over the built-in
+    // StallAttribution: attach one internally, then copy its rows into
+    // the result, so the breakdown and the observer API can never
+    // drift. Constructed only on this branch — the plain path must not
+    // pay for zero-initializing the collector's tables. The SimEndEvent
+    // fires only after the rows have landed, so every observer's
+    // onSimEnd sees the complete result, breakdown included.
     collectors::StallAttribution breakdown_shim;
     std::vector<SimObserver *> observers = options.observers;
-    if (options.recordTrace)
-        observers.push_back(&trace_shim);
-    if (options.recordBreakdown)
-        observers.push_back(&breakdown_shim);
-
+    observers.push_back(&breakdown_shim);
     SimResult result = dispatch(program, options, observers);
-    if (options.recordTrace)
-        trace_shim.moveInto(result);
-    if (options.recordBreakdown)
-        result.breakdown = breakdown_shim.rows();
+    result.breakdown = breakdown_shim.rows();
     emitSimEnd(observers, result);
     return result;
 }
@@ -181,7 +168,6 @@ simulateConventional(const Program &program,
     opts.arch.sam = SamKind::Conventional;
     opts.arch.factories = options.factories;
     opts.maxInstructions = options.maxInstructions;
-    opts.recordTrace = options.recordTrace;
     opts.recordBreakdown = options.recordBreakdown;
     opts.observers = options.observers;
     return simulate(program, opts);

@@ -47,17 +47,11 @@ struct SimOptions
     std::int64_t maxInstructions = 0;
 
     /**
-     * Record memory-reference and magic-demand traces (Fig. 8) into
-     * SimResult::trace / magicTimes / motionSamples. A thin shim over
-     * collectors::TraceCollector: simulate() attaches one internally
-     * and moves its vectors into the result.
-     */
-    bool recordTrace = false;
-
-    /**
      * Collect the per-opcode latency breakdown (SimResult::breakdown)
      * via an internal collectors::StallAttribution. Sweeps with this
-     * set emit `lsqca-bench-v2` BENCH documents.
+     * set emit `lsqca-bench-v2` BENCH documents. Every other telemetry
+     * (the Fig. 8 trace, bank heat, event streams) comes from an
+     * observer attached below.
      */
     bool recordBreakdown = false;
 
@@ -72,8 +66,8 @@ struct SimOptions
     /**
      * Estimation strategy (docs/SAMPLING.md). Exact by default;
      * sampled mode runs the SMARTS-style systematic-sampling
-     * estimator (src/estimate/) and is incompatible with observers,
-     * recordTrace, and recordBreakdown. Serialized as the
+     * estimator (src/estimate/) and is incompatible with observers
+     * and recordBreakdown. Serialized as the
      * `"estimator"` block (omitted entirely when exact).
      */
     estimate::EstimatorOptions estimator;
@@ -81,15 +75,16 @@ struct SimOptions
 
 /**
  * Run @p program on the configured machine and return timing, CPI,
- * density, and breakdowns. Deterministic: identical inputs give
- * identical results (and identical observer event streams).
+ * density, and (with recordBreakdown) the per-opcode breakdown.
+ * Deterministic: identical inputs give identical results (and
+ * identical observer event streams).
  */
 SimResult simulate(const Program &program, const SimOptions &options);
 
 /**
  * Whether @p a and @p b can run as lanes of one bank walk: both are
- * plain exact runs (no observers, recordTrace, recordBreakdown or
- * sampled estimator) on a point- or line-SAM machine, equal in every
+ * plain exact runs (no observers, recordBreakdown or sampled
+ * estimator) on a point- or line-SAM machine, equal in every
  * other field except the MagicSource ones: arch.factories, bufferCap,
  * warmBuffer, instantMagic, lat.msfPeriod and lat.magicTransfer. A
  * conventional machine has no banks to share, so it never shares.
@@ -129,9 +124,6 @@ struct ConventionalOptions
 
     /** Simulate only the first N instructions (0 = whole program). */
     std::int64_t maxInstructions = 0;
-
-    /** As SimOptions::recordTrace. */
-    bool recordTrace = false;
 
     /** As SimOptions::recordBreakdown. */
     bool recordBreakdown = false;

@@ -14,7 +14,6 @@
  */
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -142,19 +141,6 @@ struct SelectParams
  * Registers: control, temporal, system.
  */
 Circuit makeSelect(const SelectParams &params = {});
-
-/** A named benchmark with its circuit. */
-struct Benchmark
-{
-    std::string name;
-    Circuit circuit;
-};
-
-/**
- * The paper's seven-program evaluation suite at full size (Sec. VI-B).
- * @param select_max_terms optional truncation for SELECT (0 = full).
- */
-std::vector<Benchmark> paperSuite(std::int64_t select_max_terms = 0);
 
 } // namespace lsqca
 

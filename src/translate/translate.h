@@ -46,10 +46,8 @@ struct TranslateOptions
      * [2, kMaxCrSlots] (isa/instruction.h). A
      * translation-time schedule knob: it spreads consecutive
      * T-gadgets across CR names so independent gadgets can overlap.
-     * Distinct from ArchConfig::crRegisters, the *machine's* CR cell
-     * count (the paper fixes 2) — the simulator serializes on slot
-     * names, so values beyond crRegisters model an optimistic wider
-     * CR.
+     * The simulator serializes on slot names, so values beyond the
+     * paper's two CR cells model an optimistic wider CR.
      */
     std::int32_t crSlots = 2;
 };

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "circuit/lowering.h"
+#include "common/error.h"
+#include "sim/collectors/trace_collector.h"
 #include "sim/simulator.h"
 #include "synth/benchmarks.h"
 #include "translate/translate.h"
@@ -10,14 +12,18 @@
 namespace lsqca {
 namespace {
 
-SimResult
+using collectors::TraceCollector;
+
+TraceCollector
 traceOf(const Program &p)
 {
+    TraceCollector trace;
     SimOptions opts;
     opts.arch.sam = SamKind::Conventional;
     opts.arch.instantMagic = true;
-    opts.recordTrace = true;
-    return simulate(p, opts);
+    opts.observers = {&trace};
+    simulate(p, opts);
+    return trace;
 }
 
 TEST(TraceAnalysis, TimestampsPerVariable)
@@ -27,8 +33,7 @@ TEST(TraceAnalysis, TimestampsPerVariable)
     c.h(0);
     c.h(1);
     const Program p = translate(c);
-    const SimResult r = traceOf(p);
-    const TraceAnalysis analysis(p, r);
+    const TraceAnalysis analysis(p, traceOf(p));
     EXPECT_EQ(analysis.timestamps(0).size(), 2u);
     EXPECT_EQ(analysis.timestamps(1).size(), 1u);
     EXPECT_TRUE(analysis.timestamps(2).empty());
@@ -122,9 +127,12 @@ TEST(TraceAnalysis, TemporalLocalityInMultiplier)
 TEST(TraceAnalysis, RejectsOutOfRangeSamples)
 {
     Program p(1);
-    SimResult r;
-    r.trace.push_back({0, 5}); // variable 5 out of range
-    EXPECT_THROW(TraceAnalysis(p, r), ConfigError);
+    TraceCollector trace;
+    InstructionEvent load;
+    load.inst.op = Opcode::LD;
+    load.inst.m0 = 5; // variable 5 out of range
+    trace.onInstruction(load);
+    EXPECT_THROW(TraceAnalysis(p, trace), ConfigError);
 }
 
 } // namespace

@@ -38,8 +38,6 @@ expectSameResult(const SimResult &got, const SimResult &want,
     EXPECT_EQ(got.instructionsSimulated, want.instructionsSimulated);
     EXPECT_EQ(got.countedInstructions, want.countedInstructions);
     EXPECT_EQ(got.magicConsumed, want.magicConsumed);
-    EXPECT_EQ(got.opcodeCount, want.opcodeCount);
-    EXPECT_EQ(got.opcodeBeats, want.opcodeBeats);
     EXPECT_EQ(got.detailedInstructions, want.detailedInstructions);
     EXPECT_EQ(got.ffInstructions, want.ffInstructions);
 }

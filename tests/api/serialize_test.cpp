@@ -52,7 +52,6 @@ TEST(SerializeArch, RoundTripsEveryField)
     cfg.banks = 4;
     cfg.factories = 3;
     cfg.bufferCap = 7;
-    cfg.crRegisters = 5;
     cfg.hybridFraction = 0.375;
     cfg.localityStore = false;
     cfg.inMemoryOps = false;
@@ -80,7 +79,6 @@ TEST(SerializeArch, RoundTripsEveryField)
     EXPECT_EQ(back.banks, cfg.banks);
     EXPECT_EQ(back.factories, cfg.factories);
     EXPECT_EQ(back.bufferCap, cfg.bufferCap);
-    EXPECT_EQ(back.crRegisters, cfg.crRegisters);
     EXPECT_DOUBLE_EQ(back.hybridFraction, cfg.hybridFraction);
     EXPECT_EQ(back.localityStore, cfg.localityStore);
     EXPECT_EQ(back.inMemoryOps, cfg.inMemoryOps);
@@ -117,6 +115,12 @@ TEST(SerializeArch, RejectsUnknownKeys)
     doc.set("bankz", 2); // typo must not silently run the default
     EXPECT_THROW(archConfigFromJson(doc), ConfigError);
 
+    // Nor is cr_registers: the machine has no such knob, so a spec
+    // that sets it must fail rather than run unchanged.
+    Json stale = toJson(cfg);
+    stale.set("cr_registers", 2);
+    EXPECT_THROW(archConfigFromJson(stale), ConfigError);
+
     Json nested = toJson(cfg);
     Json lat = toJson(cfg.lat);
     lat.set("surgeryy", 1);
@@ -144,8 +148,6 @@ TEST(SerializeArch, RejectsOutOfRangeValues)
     EXPECT_THROW(archConfigFromJson(patched("factories", 0)),
                  ConfigError);
     EXPECT_THROW(archConfigFromJson(patched("buffer_cap", -2)),
-                 ConfigError);
-    EXPECT_THROW(archConfigFromJson(patched("cr_registers", 1)),
                  ConfigError);
     EXPECT_THROW(archConfigFromJson(patched("hybrid_fraction", -0.1)),
                  ConfigError);
@@ -199,7 +201,6 @@ TEST(SerializeSimOptions, RoundTripsAndValidates)
     options.arch.sam = SamKind::Line;
     options.arch.banks = 2;
     options.maxInstructions = 60'000;
-    options.recordTrace = true;
     options.recordBreakdown = true;
     const SimOptions back = simOptionsFromJson(toJson(options));
     EXPECT_EQ(toJson(back).dump(), toJson(options).dump());
@@ -213,6 +214,9 @@ TEST(SerializeSimOptions, RoundTripsAndValidates)
     Json unknown = toJson(options);
     unknown.set("prefix", 10);
     EXPECT_THROW(simOptionsFromJson(unknown), ConfigError);
+    Json stale = toJson(options);
+    stale.set("record_trace", false);
+    EXPECT_THROW(simOptionsFromJson(stale), ConfigError);
 }
 
 TEST(SerializeBreakdown, RoundTripsEveryField)

@@ -183,9 +183,15 @@ TEST(SweepSpec, RejectsMalformedSpecs)
                   "estimator": {"mode": "sampled"},
                   "axes": [{"axis": "a", "values": [1]}]})"),
         ConfigError);
-    // Unknown top-level key.
+    // Unknown top-level keys (telemetry beyond record_breakdown is
+    // an observer, never a spec key).
     EXPECT_THROW(
         parse(R"({"schema": "lsqca-spec-v1", "name": "x", "axess": [],
+                  "axes": [{"axis": "a", "values": [1]}]})"),
+        ConfigError);
+    EXPECT_THROW(
+        parse(R"({"schema": "lsqca-spec-v1", "name": "x",
+                  "record_trace": false,
                   "axes": [{"axis": "a", "values": [1]}]})"),
         ConfigError);
     // Unknown axis-value key.

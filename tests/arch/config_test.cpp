@@ -13,7 +13,6 @@ TEST(ArchConfig, DefaultsMatchPaper)
     EXPECT_EQ(cfg.sam, SamKind::Point);
     EXPECT_EQ(cfg.banks, 1);
     EXPECT_EQ(cfg.factories, 1);
-    EXPECT_EQ(cfg.crRegisters, 2);
     EXPECT_TRUE(cfg.localityStore);
     EXPECT_TRUE(cfg.inMemoryOps);
     EXPECT_EQ(cfg.effectiveBufferCap(), 2); // 2 * factories

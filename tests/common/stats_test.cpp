@@ -38,33 +38,6 @@ TEST(SummaryStats, KnownMoments)
     EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(SummaryStats, MergeMatchesCombined)
-{
-    SummaryStats a, b, all;
-    for (int i = 0; i < 50; ++i) {
-        const double v = i * 0.7 - 3.0;
-        (i % 2 ? a : b).add(v);
-        all.add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(SummaryStats, MergeWithEmpty)
-{
-    SummaryStats a, empty;
-    a.add(1.0);
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 1u);
-    empty.merge(a);
-    EXPECT_EQ(empty.count(), 1u);
-    EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
-}
-
 TEST(EmpiricalCdf, AtOnEmptyIsZero)
 {
     EmpiricalCdf cdf;
@@ -121,28 +94,6 @@ TEST(Geomean, RejectsEmptyAndNonPositive)
     EXPECT_THROW(geomean({}), ConfigError);
     EXPECT_THROW(geomean({1.0, 0.0}), ConfigError);
     EXPECT_THROW(geomean({-1.0}), ConfigError);
-}
-
-TEST(Histogram, BinningAndClamping)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(0.0);   // bin 0
-    h.add(1.9);   // bin 0
-    h.add(2.0);   // bin 1
-    h.add(9.9);   // bin 4
-    h.add(-5.0);  // clamps to bin 0
-    h.add(50.0);  // clamps to bin 4
-    EXPECT_EQ(h.binCount(0), 3u);
-    EXPECT_EQ(h.binCount(1), 1u);
-    EXPECT_EQ(h.binCount(4), 2u);
-    EXPECT_EQ(h.total(), 6u);
-    EXPECT_DOUBLE_EQ(h.binLow(1), 2.0);
-}
-
-TEST(Histogram, RejectsBadConstruction)
-{
-    EXPECT_THROW(Histogram(0.0, 0.0, 3), ConfigError);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), ConfigError);
 }
 
 } // namespace

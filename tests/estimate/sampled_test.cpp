@@ -101,8 +101,6 @@ expectSameResult(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.magicConsumed, b.magicConsumed);
     EXPECT_EQ(a.magicStallBeats, b.magicStallBeats);
     EXPECT_EQ(a.memoryBeats, b.memoryBeats);
-    EXPECT_EQ(a.opcodeCount, b.opcodeCount);
-    EXPECT_EQ(a.opcodeBeats, b.opcodeBeats);
     EXPECT_EQ(a.floorplan.density(), b.floorplan.density());
 }
 

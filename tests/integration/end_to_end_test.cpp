@@ -2,6 +2,7 @@
 
 #include "analysis/trace_analysis.h"
 #include "circuit/lowering.h"
+#include "sim/collectors/trace_collector.h"
 #include "sim/simulator.h"
 #include "synth/benchmarks.h"
 #include "translate/translate.h"
@@ -101,9 +102,10 @@ TEST(EndToEnd, Fig8StyleTraceAnalysisRuns)
     SimOptions opts;
     opts.arch.sam = SamKind::Conventional;
     opts.arch.instantMagic = true;
-    opts.recordTrace = true;
-    const SimResult r = simulate(p, opts);
-    const TraceAnalysis analysis(p, r);
+    collectors::TraceCollector trace;
+    opts.observers = {&trace};
+    simulate(p, opts);
+    const TraceAnalysis analysis(p, trace);
     EXPECT_GT(analysis.totalReferences(), 100);
     EXPECT_GT(analysis.magicDemandInterval(), 0.0);
     // Register CDFs exist for control/temporal/system.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "circuit/lowering.h"
+#include "sim/collectors/trace_collector.h"
 #include "sim/simulator.h"
 #include "synth/benchmarks.h"
 #include "translate/translate.h"
@@ -169,13 +170,14 @@ TEST(Fig8Shape, MagicIntervalOrdersMultiplierBeforeSelect)
         SimOptions opts;
         opts.arch.sam = SamKind::Conventional;
         opts.arch.instantMagic = true;
-        opts.recordTrace = true;
-        const SimResult r = simulate(p, opts);
+        collectors::TraceCollector trace;
+        opts.observers = {&trace};
+        simulate(p, opts);
+        const std::vector<std::int64_t> &times = trace.magicTimes();
         double sum = 0;
-        for (std::size_t i = 1; i < r.magicTimes.size(); ++i)
-            sum += static_cast<double>(r.magicTimes[i] -
-                                       r.magicTimes[i - 1]);
-        return sum / static_cast<double>(r.magicTimes.size() - 1);
+        for (std::size_t i = 1; i < times.size(); ++i)
+            sum += static_cast<double>(times[i] - times[i - 1]);
+        return sum / static_cast<double>(times.size() - 1);
     };
     EXPECT_LT(interval(makeMultiplier({8, 6})),
               interval(makeSelect({4, 0})));

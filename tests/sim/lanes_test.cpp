@@ -46,8 +46,6 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.magicConsumed, b.magicConsumed);
     EXPECT_EQ(a.magicStallBeats, b.magicStallBeats);
     EXPECT_EQ(a.memoryBeats, b.memoryBeats);
-    EXPECT_EQ(a.opcodeCount, b.opcodeCount);
-    EXPECT_EQ(a.opcodeBeats, b.opcodeBeats);
     EXPECT_EQ(a.density(), b.density());
 }
 
@@ -156,11 +154,10 @@ TEST(SimulateLanes, SharesBankWalkOnlyAcrossMagicSupply)
     EXPECT_FALSE(sharesBankWalk(conventional, twoFactories));
 
     SimObserver observer;
-    std::vector<SimOptions> alone(4, base);
+    std::vector<SimOptions> alone(3, base);
     alone[0].observers.push_back(&observer);
-    alone[1].recordTrace = true;
-    alone[2].recordBreakdown = true;
-    alone[3].estimator.mode = estimate::EstimatorMode::Sampled;
+    alone[1].recordBreakdown = true;
+    alone[2].estimator.mode = estimate::EstimatorMode::Sampled;
     for (const SimOptions &other : alone) {
         EXPECT_FALSE(sharesBankWalk(base, other));
         EXPECT_FALSE(sharesBankWalk(other, other));
@@ -175,9 +172,9 @@ TEST(SimulateLanes, RejectsLanesThatDoNotShareAWalk)
     SimOptions b = a;
     b.arch.banks = 2;
     EXPECT_THROW(simulateLanes(program, {a, b}), ConfigError);
-    SimOptions traced = a;
-    traced.recordTrace = true;
-    EXPECT_THROW(simulateLanes(program, {a, traced}), ConfigError);
+    SimOptions brokenDown = a;
+    brokenDown.recordBreakdown = true;
+    EXPECT_THROW(simulateLanes(program, {a, brokenDown}), ConfigError);
     SimOptions conventional;
     conventional.arch.sam = SamKind::Conventional;
     SimOptions twoFactories = conventional;

@@ -5,6 +5,7 @@
 #include "circuit/lowering.h"
 #include "common/error.h"
 #include "isa/assembler.h"
+#include "sim/collectors/trace_collector.h"
 #include "synth/benchmarks.h"
 #include "translate/translate.h"
 
@@ -25,6 +26,26 @@ inst1M(Opcode op, std::int32_t m, std::int32_t v = -1)
     inst.m0 = m;
     inst.v0 = v;
     return inst;
+}
+
+/** @p op's breakdown row (recordBreakdown); an empty row if it never ran. */
+OpcodeSplit
+rowOf(const SimResult &r, Opcode op)
+{
+    for (const OpcodeSplit &row : r.breakdown)
+        if (row.op == op)
+            return row;
+    return {op, 0, 0, {}};
+}
+
+/** The Fig. 8 vectors of one run of @p p. */
+collectors::TraceCollector
+traceOf(const Program &p, SimOptions opts)
+{
+    collectors::TraceCollector trace;
+    opts.observers = {&trace};
+    simulate(p, opts);
+    return trace;
 }
 
 TEST(Simulator, EmptyProgramTakesZeroBeats)
@@ -282,9 +303,7 @@ TEST(Simulator, TraceRecordsMemoryReferences)
     p.append(cx);
     SimOptions opts;
     opts.arch.sam = SamKind::Conventional;
-    opts.recordTrace = true;
-    const SimResult r = simulate(p, opts);
-    EXPECT_EQ(r.trace.size(), 4u); // 1 + 1 + 2 operands
+    EXPECT_EQ(traceOf(p, opts).trace().size(), 4u); // 1 + 1 + 2 operands
 }
 
 TEST(Simulator, OpcodeBreakdownSumsToProgram)
@@ -293,10 +312,11 @@ TEST(Simulator, OpcodeBreakdownSumsToProgram)
     const Program p = translate(lowered);
     SimOptions opts;
     opts.arch.sam = SamKind::Line;
+    opts.recordBreakdown = true;
     const SimResult r = simulate(p, opts);
     std::int64_t total = 0;
-    for (const auto count : r.opcodeCount)
-        total += count;
+    for (const OpcodeSplit &row : r.breakdown)
+        total += row.count;
     EXPECT_EQ(total, p.size());
     EXPECT_EQ(r.instructionsSimulated, p.size());
 }
@@ -311,12 +331,13 @@ TEST(Simulator, LoadStoreRoundTripOnPointSam)
     SimOptions opts;
     opts.arch.sam = SamKind::Point;
     opts.arch.inMemoryOps = false;
+    opts.recordBreakdown = true;
     const SimResult r = simulate(p, opts);
     // LD + HD.C(3) + ST, with nonzero memory traffic.
     EXPECT_GT(r.memoryBeats, 0);
     EXPECT_GT(r.execBeats, 3);
-    EXPECT_EQ(r.opcodeCount[static_cast<std::size_t>(Opcode::LD)], 1);
-    EXPECT_EQ(r.opcodeCount[static_cast<std::size_t>(Opcode::ST)], 1);
+    EXPECT_EQ(rowOf(r, Opcode::LD).count, 1);
+    EXPECT_EQ(rowOf(r, Opcode::ST).count, 1);
 }
 
 TEST(Simulator, RowParallelUnitariesShareAWindow)
@@ -453,12 +474,11 @@ TEST(Simulator, HybridRegionPrefersHottestVariables)
     SimOptions opts;
     opts.arch.sam = SamKind::Point;
     opts.arch.hybridFraction = 0.025; // exactly one variable
+    opts.recordBreakdown = true;
     const SimResult r = simulate(p, opts);
     // 10 sequential 2-beat phases on the hot conventional qubit = 20;
     // the single SAM op overlaps within that window.
-    EXPECT_EQ(r.opcodeBeats[static_cast<std::size_t>(Opcode::PH_M)] -
-                  r.memoryBeats,
-              11 * 2);
+    EXPECT_EQ(rowOf(r, Opcode::PH_M).beats - r.memoryBeats, 11 * 2);
 }
 
 TEST(Simulator, MotionSamplesRecordedWithTrace)
@@ -468,14 +488,13 @@ TEST(Simulator, MotionSamplesRecordedWithTrace)
     p.append(inst1M(Opcode::HD_M, 9));
     SimOptions opts;
     opts.arch.sam = SamKind::Point;
-    opts.recordTrace = true;
-    const SimResult r = simulate(p, opts);
-    EXPECT_FALSE(r.motionSamples.empty());
-    for (const auto sample : r.motionSamples)
+    const collectors::TraceCollector trace = traceOf(p, opts);
+    EXPECT_FALSE(trace.motionSamples().empty());
+    for (const auto sample : trace.motionSamples())
         EXPECT_GT(sample, 0);
-    // Without trace recording the vector stays empty.
-    opts.recordTrace = false;
-    EXPECT_TRUE(simulate(p, opts).motionSamples.empty());
+    // A machine that moves nothing records no sample.
+    opts.arch.sam = SamKind::Conventional;
+    EXPECT_TRUE(traceOf(p, opts).motionSamples().empty());
 }
 
 TEST(Simulator, MagicWaitConcealsScanMotion)
@@ -496,9 +515,8 @@ TEST(Simulator, MagicWaitConcealsScanMotion)
     // here would not hold for q55; allow the general bound instead):
     // end <= max(15, motion) + 1 + transfer + 2.
     std::int64_t motion = 0;
-    SimOptions traced = opts;
-    traced.recordTrace = true;
-    for (const auto sample : simulate(p, traced).motionSamples)
+    const collectors::TraceCollector trace = traceOf(p, opts);
+    for (const auto sample : trace.motionSamples())
         motion = std::max(motion, sample);
     EXPECT_LE(r.execBeats,
               std::max<std::int64_t>(15 + 1, motion) + 1 + 2 + 1);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/registry.h"
 #include "circuit/lowering.h"
 #include "circuit/statevector.h"
 #include "common/error.h"
@@ -68,11 +69,14 @@ INSTANTIATE_TEST_SUITE_P(PaperInstances, SelectSizes,
 
 TEST(PaperSizes, SuiteHasSevenPrograms)
 {
-    const auto suite = paperSuite(/*select_max_terms=*/10);
+    const api::BenchmarkRegistry registry = api::BenchmarkRegistry::paper();
+    const std::vector<api::BenchmarkEntry> &suite = registry.entries();
     ASSERT_EQ(suite.size(), 7u);
-    EXPECT_EQ(suite[0].name, "adder");
-    EXPECT_EQ(suite[6].name, "SELECT");
-    EXPECT_EQ(suite[6].circuit.numQubits(), 143);
+    EXPECT_EQ(suite.front().name, "adder");
+    EXPECT_EQ(suite.back().name, "select");
+    // The default SELECT is the Sec. VI-B 143-qubit instance.
+    const Json params = registry.canonicalParams("select", Json());
+    EXPECT_EQ(suite.back().synthesize(params).numQubits(), 143);
 }
 
 // ---- magic-state structure -------------------------------------------

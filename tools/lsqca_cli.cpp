@@ -55,7 +55,6 @@
 #include "sim/collectors/bank_heatmap.h"
 #include "sim/collectors/jsonl_writer.h"
 #include "sim/collectors/stall_attribution.h"
-#include "sim/collectors/timeline.h"
 #include "sim/collectors/trace_collector.h"
 
 namespace {
@@ -78,8 +77,6 @@ usage(std::ostream &out, int code)
         "                        default <out>/TRACE_<spec>.jsonl)\n"
         "      --out DIR         default dir for --events (default"
         " bench/out)\n"
-        "      --timeline N      issue-record ring capacity (default"
-        " 4096)\n"
         "      --no-cells        skip bank cell events in the JSONL\n"
         "      --full            builtin specs only: drop prefixes\n"
         "  run <spec>          expand and simulate a sweep spec (a\n"
@@ -227,7 +224,6 @@ cmdTrace(int argc, char **argv)
     bool full = false;
     bool cells = true;
     std::int32_t jobIndex = 0;
-    std::int32_t timelineCap = 4096;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--job")
@@ -237,9 +233,6 @@ cmdTrace(int argc, char **argv)
             eventsPath = needValue(argc, argv, i);
         else if (arg == "--out")
             outDir = needValue(argc, argv, i);
-        else if (arg == "--timeline")
-            timelineCap = parseCount(needValue(argc, argv, i),
-                                     "--timeline", 1, 1 << 24);
         else if (arg == "--no-cells")
             cells = false;
         else if (arg == "--full")
@@ -269,7 +262,8 @@ cmdTrace(int argc, char **argv)
         registry.program(job.bench, job.params, job.translate,
                          job.options.maxInstructions);
 
-    // One job, every built-in collector attached. The JSONL stream
+    // One job with the stall, bank-heat and JSONL collectors
+    // attached. The JSONL stream
     // goes straight to a sibling temp file (a long trace with cell
     // events can dwarf memory) and rename() publishes it whole, so a
     // rerun stays byte-comparable and a crash never leaves a torn
@@ -277,14 +271,12 @@ cmdTrace(int argc, char **argv)
     // report --chrome-trace`).
     collectors::StallAttribution stalls;
     collectors::BankHeatmap heatmap;
-    collectors::Timeline timeline(
-        static_cast<std::size_t>(timelineCap));
     if (eventsPath.empty())
         eventsPath = outDir + "/TRACE_" + spec.name + ".jsonl";
     jsonl::Export events(eventsPath);
     TraceJsonl jsonl(events.stream(), cells);
     SimOptions options = job.options;
-    options.observers = {&stalls, &heatmap, &timeline, &jsonl};
+    options.observers = {&stalls, &heatmap, &jsonl};
     const SimResult result = simulate(program, options);
     events.publish();
 
@@ -292,7 +284,8 @@ cmdTrace(int argc, char **argv)
         // Keep stdout a pure JSONL stream (pipeable); the tables are
         // available by writing events to a file instead.
         std::cerr << "trace: " << jsonl.lines() << " events ("
-                  << timeline.seen() << " instructions) -> stdout\n";
+                  << result.instructionsSimulated
+                  << " instructions) -> stdout\n";
         return 0;
     }
 
@@ -322,8 +315,8 @@ cmdTrace(int argc, char **argv)
                          " heat (occupancy share, touches)");
     }
     std::cerr << "trace: " << jsonl.lines() << " events ("
-              << timeline.seen() << " instructions) -> " << eventsPath
-              << "\n";
+              << result.instructionsSimulated << " instructions) -> "
+              << eventsPath << "\n";
     return 0;
 }
 
