@@ -2,10 +2,9 @@
  * @file
  * Chrono-based microbenchmarks for the hot paths this repo's perf work
  * tracks: whole simulate() calls per machine kind (plus lockstep lanes,
- * and the per-job Machine setup in front of each), the program build in
- * front of a sweep, and the statevector amplitude kernels. Emits
- * BENCH_micro.json so successive runs are machine-comparable
- * (tools/bench_diff.py fails CI on >10% regressions).
+ * and the per-job Machine setup in front of each) and the program build
+ * in front of a sweep. Emits BENCH_micro.json so successive runs are
+ * machine-comparable (tools/bench_diff.py fails CI on >10% regressions).
  *
  * Usage:
  *   micro_kernels [--smoke] [--out <dir>] [--csv <dir>]
@@ -22,7 +21,6 @@
 #include "arch/point_sam.h"
 #include "bench_util.h"
 #include "circuit/lowering.h"
-#include "circuit/statevector.h"
 #include "common/fs.h"
 #include "common/json.h"
 #include "geom/grid.h"
@@ -85,9 +83,7 @@ main(int argc, char **argv)
     const auto args = bench::parseArgs(argc, argv);
 
     const int simReps = args.smoke ? 2 : 5;
-    const int svReps = args.smoke ? 3 : 7;
     const std::int32_t adderBits = args.smoke ? 16 : 64;
-    const std::int32_t svQubits = args.smoke ? 14 : 20;
 
     std::vector<Entry> entries;
     auto record = [&](std::string name, double seconds, const char *unit,
@@ -416,42 +412,6 @@ main(int argc, char **argv)
                       }),
                "append", appendsPerRep, "ns_per_journal_append");
         fsutil::removeFile(path);
-    }
-
-    // ---- statevector kernels -------------------------------------------
-    const auto amps = std::int64_t{1} << svQubits;
-    {
-        StateVector sv(svQubits);
-        for (std::int32_t q = 0; q < svQubits; ++q)
-            sv.applyH(q); // dense superposition
-        record("statevector/apply1-H",
-               bestOf(svReps, [&] { sv.applyH(svQubits / 2); }),
-               "amplitude", amps);
-        record("statevector/probabilityOne",
-               bestOf(svReps,
-                      [&] { (void)sv.probabilityOne(svQubits / 2); }),
-               "amplitude", amps / 2);
-        record("statevector/applyCX",
-               bestOf(svReps, [&] { sv.applyCX(0, svQubits - 1); }),
-               "amplitude", amps / 4);
-        record("statevector/applyCCX",
-               bestOf(svReps,
-                      [&] { sv.applyCCX(0, 1, svQubits - 1); }),
-               "amplitude", amps / 8);
-        record("statevector/norm",
-               bestOf(svReps, [&] { (void)sv.norm(); }), "amplitude",
-               amps);
-    }
-    {
-        record("statevector/measureZ+collapse",
-               bestOf(svReps,
-                      [&] {
-                          StateVector sv(svQubits);
-                          for (std::int32_t q = 0; q < svQubits; ++q)
-                              sv.applyH(q);
-                          (void)sv.measureZ(0);
-                      }),
-               "amplitude", amps);
     }
 
     // ---- report ---------------------------------------------------------

@@ -58,7 +58,8 @@ main(int argc, char **argv)
 
     for (std::int32_t factories : {1, 2, 4}) {
         const SimResult conv = simulateConventional(
-            program, {.factories = factories, .maxInstructions = prefix});
+            program,
+            {.arch = {.factories = factories}, .maxInstructions = prefix});
         TextTable table({"config", "density", "overhead",
                          "memory beats", "magic stall"});
         for (const auto &[label, sam, banks] :

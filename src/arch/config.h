@@ -80,8 +80,9 @@ struct ArchConfig
     std::int32_t factories = 1;   ///< MSF count
     std::int32_t bufferCap = -1;  ///< magic buffer; -1 = 2 * factories
     /**
-     * Hybrid floorplan ratio f (Sec. VI-C): the ceil(f * n) most
-     * referenced variables live in a conventional region attached to CR.
+     * Hybrid floorplan ratio f (Sec. VI-C): the most referenced
+     * variables live in a conventional region attached to CR; how many
+     * is conventionalCount() in arch/floorplan.h.
      */
     double hybridFraction = 0.0;
     bool localityStore = true;    ///< Sec. V-B locality-aware store

@@ -1,5 +1,6 @@
 #include "arch/floorplan.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -17,43 +18,52 @@ bankCapacity(std::int64_t sam_qubits, std::int32_t banks,
 }
 
 BankShape
+pointBankGrid(std::int32_t capacity)
+{
+    LSQCA_REQUIRE(capacity >= 1, "point-SAM bank needs capacity >= 1");
+    const std::int64_t cells = std::int64_t{capacity} + 1;
+    const auto rows = static_cast<std::int32_t>(
+        std::ceil(std::sqrt(static_cast<double>(cells))));
+    return {rows, static_cast<std::int32_t>((cells + rows - 1) / rows),
+            capacity};
+}
+
+BankShape
+lineDataGrid(std::int32_t capacity)
+{
+    LSQCA_REQUIRE(capacity >= 1, "line-SAM bank needs capacity >= 1");
+    const auto side = static_cast<std::int32_t>(
+        std::floor(std::sqrt(static_cast<double>(capacity))));
+    if (static_cast<std::int64_t>(side) * side >= capacity)
+        return {side, side, capacity};
+    if (static_cast<std::int64_t>(side) * (side + 1) >= capacity)
+        return {side, side + 1, capacity};
+    return {side + 1, side + 1, capacity};
+}
+
+BankShape
 bankShape(const ArchConfig &config, std::int64_t sam_qubits,
           std::int32_t bank_index)
 {
-    const std::int64_t cap = bankCapacity(sam_qubits, config.banks,
-                                          bank_index);
-    BankShape shape;
-    shape.capacity = static_cast<std::int32_t>(cap);
+    const auto cap = static_cast<std::int32_t>(
+        bankCapacity(sam_qubits, config.banks, bank_index));
     if (cap == 0)
-        return shape;
-    if (config.sam == SamKind::Point) {
-        // capacity + 1 cells (data + scan), squarest grid covering them.
-        const auto cells = cap + 1;
-        auto rows = static_cast<std::int32_t>(
-            std::ceil(std::sqrt(static_cast<double>(cells))));
-        shape.rows = rows;
-        shape.cols = static_cast<std::int32_t>((cells + rows - 1) / rows);
-    } else {
-        // Data grid L x L or L x (L + 1), whichever is tightest
-        // (Sec. VI-A), plus one scan row.
-        auto side = static_cast<std::int32_t>(
-            std::floor(std::sqrt(static_cast<double>(cap))));
-        std::int32_t data_rows;
-        std::int32_t cols;
-        if (static_cast<std::int64_t>(side) * side >= cap) {
-            data_rows = side;
-            cols = side;
-        } else if (static_cast<std::int64_t>(side) * (side + 1) >= cap) {
-            data_rows = side;
-            cols = side + 1;
-        } else {
-            data_rows = side + 1;
-            cols = side + 1;
-        }
-        shape.rows = data_rows + 1; // scan row
-        shape.cols = cols;
-    }
+        return {};
+    if (config.sam == SamKind::Point)
+        return pointBankGrid(cap);
+    BankShape shape = lineDataGrid(cap);
+    ++shape.rows; // scan row
     return shape;
+}
+
+std::int64_t
+conventionalCount(const ArchConfig &config, std::int64_t variables)
+{
+    if (config.sam == SamKind::Conventional)
+        return variables;
+    const auto rounded = static_cast<std::int64_t>(
+        config.hybridFraction * static_cast<double>(variables) + 0.5);
+    return std::min(rounded, variables);
 }
 
 FloorplanStats

@@ -3,7 +3,10 @@
 
 /**
  * @file
- * Floorplan cell accounting and memory-density computation.
+ * Floorplan rules: the bank grids the simulator runs, the size of the
+ * hybrid conventional region, and the cell accounting and memory density
+ * built on them. The simulated banks and the density accounting both
+ * call these rules.
  *
  * Density is program data qubits over total logical cells (SAM banks +
  * CR + any hybrid conventional region), with MSFs excluded as in
@@ -48,16 +51,41 @@ struct FloorplanStats
 };
 
 /**
- * Shape of bank @p bank_index when @p sam_qubits variables are dealt
- * round-robin over @p config.banks banks.
- *
- * Point banks use the tightest rows x cols grid with capacity+1 cells
- * (footnote 1: the bottom row is trimmed when n+1 is not square). Line
- * banks use the L x L / L x (L+1) data grid of Sec. VI-A plus one scan
+ * Point-SAM grid for @p capacity >= 1 data qubits: the squarest
+ * rows x cols grid of at least capacity + 1 cells (data plus the scan
+ * cell), with rows = ceil(sqrt(capacity + 1)) (footnote 1). PointSamBank
+ * simulates this whole grid; floorplanStats() counts only its
+ * capacity + 1 cells, as if the bottom row were trimmed.
+ */
+BankShape pointBankGrid(std::int32_t capacity);
+
+/**
+ * Line-SAM data grid for @p capacity >= 1 qubits, the tightest of the
+ * L x L / L x (L + 1) forms of Sec. VI-A: with L = floor(sqrt(capacity)),
+ * the first of L x L, L x (L + 1) and (L + 1) x (L + 1) that holds
+ * capacity cells. LineSamBank simulates it; bankShape() adds the scan
  * row.
+ */
+BankShape lineDataGrid(std::int32_t capacity);
+
+/**
+ * Shape of bank @p bank_index when @p sam_qubits variables are dealt
+ * round-robin over @p config.banks banks: pointBankGrid() for point
+ * banks, lineDataGrid() plus one scan row for line banks, and an empty
+ * shape for a bank that holds nothing.
  */
 BankShape bankShape(const ArchConfig &config, std::int64_t sam_qubits,
                     std::int32_t bank_index);
+
+/**
+ * Variables that live in the hybrid conventional region (Sec. VI-C)
+ * when @p config runs a program of @p variables: all of them on a
+ * conventional machine; otherwise f * n rounded half up, with
+ * f = config.hybridFraction and n = @p variables. The machine fills the
+ * region with the most referenced variables (Program::referenceCounts()).
+ */
+std::int64_t conventionalCount(const ArchConfig &config,
+                               std::int64_t variables);
 
 /** Number of variables dealt to bank @p bank_index. */
 std::int64_t bankCapacity(std::int64_t sam_qubits, std::int32_t banks,

@@ -3,31 +3,15 @@
 #include <cmath>
 #include <limits>
 
+#include "arch/floorplan.h"
 #include "common/error.h"
 
 namespace lsqca {
-namespace {
-
-/** Tightest L x L or L x (L+1) data grid holding @p capacity cells. */
-std::pair<std::int32_t, std::int32_t>
-dataGridFor(std::int32_t capacity)
-{
-    auto side = static_cast<std::int32_t>(
-        std::floor(std::sqrt(static_cast<double>(capacity))));
-    if (static_cast<std::int64_t>(side) * side >= capacity)
-        return {side, side};
-    if (static_cast<std::int64_t>(side) * (side + 1) >= capacity)
-        return {side, side + 1};
-    return {side + 1, side + 1};
-}
-
-} // namespace
 
 LineSamBank::LineSamBank(std::int32_t capacity, const Latencies &lat)
     : capacity_(capacity), lat_(lat),
-      grid_(dataGridFor(capacity).first, dataGridFor(capacity).second)
+      grid_(lineDataGrid(capacity).rows, lineDataGrid(capacity).cols)
 {
-    LSQCA_REQUIRE(capacity >= 1, "line-SAM bank needs capacity >= 1");
 }
 
 void

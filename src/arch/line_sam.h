@@ -27,9 +27,9 @@ class LineSamBank
 {
   public:
     /**
-     * Build a bank for @p capacity qubits with the tightest
-     * L x L / L x (L+1) data grid (Sec. VI-A); the gap starts at 0
-     * (facing the first row).
+     * Build a bank for @p capacity >= 1 qubits on the lineDataGrid()
+     * data grid (arch/floorplan.h); the gap starts at 0 (facing the
+     * first row).
      */
     LineSamBank(std::int32_t capacity, const Latencies &lat);
 

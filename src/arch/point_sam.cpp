@@ -2,32 +2,15 @@
 
 #include <cmath>
 
+#include "arch/floorplan.h"
 #include "common/error.h"
 
 namespace lsqca {
-namespace {
-
-std::int32_t
-gridRowsFor(std::int32_t capacity)
-{
-    return static_cast<std::int32_t>(
-        std::ceil(std::sqrt(static_cast<double>(capacity + 1))));
-}
-
-std::int32_t
-gridColsFor(std::int32_t capacity, std::int32_t rows)
-{
-    return static_cast<std::int32_t>((capacity + 1 + rows - 1) / rows);
-}
-
-} // namespace
 
 PointSamBank::PointSamBank(std::int32_t capacity, const Latencies &lat)
     : capacity_(capacity), lat_(lat),
-      grid_(gridRowsFor(capacity), gridColsFor(capacity,
-                                               gridRowsFor(capacity)))
+      grid_(pointBankGrid(capacity).rows, pointBankGrid(capacity).cols)
 {
-    LSQCA_REQUIRE(capacity >= 1, "point-SAM bank needs capacity >= 1");
     port_ = {grid_.rows() / 2, 0};
     scan_ = port_;
 }

@@ -27,8 +27,8 @@ class PointSamBank
 {
   public:
     /**
-     * Build a bank for @p capacity qubits with the squarest grid of at
-     * least capacity + 1 cells; the scan cell starts at the port anchor
+     * Build a bank for @p capacity >= 1 qubits on the pointBankGrid()
+     * grid (arch/floorplan.h); the scan cell starts at the port anchor
      * (CR-adjacent column, middle row).
      */
     PointSamBank(std::int32_t capacity, const Latencies &lat);

@@ -141,7 +141,8 @@ class Circuit
 
     /**
      * Per-qubit static reference counts (number of gates touching each
-     * qubit) — drives the hybrid floorplan's hot-register selection.
+     * qubit). Hybrid placement ranks variables by the translated
+     * program's counts (Program::referenceCounts()), not by these.
      */
     std::vector<std::int64_t> referenceCounts() const;
 

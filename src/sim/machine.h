@@ -67,6 +67,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "arch/floorplan.h"
 #include "arch/line_sam.h"
 #include "arch/msf.h"
 #include "arch/point_sam.h"
@@ -618,16 +619,12 @@ class Machine
         const auto n = static_cast<std::size_t>(prog_.numVariables());
         region_.assign(n, Region::Sam);
         bankOf_.assign(n, -1);
+        numConventional_ =
+            conventionalCount(cfg_, static_cast<std::int64_t>(n));
         if constexpr (KIND == SamKind::Conventional) {
             region_.assign(n, Region::Conventional);
-            numConventional_ = static_cast<std::int64_t>(n);
             return;
         }
-        numConventional_ = static_cast<std::int64_t>(
-            cfg_.hybridFraction * static_cast<double>(n) + 0.5);
-        numConventional_ =
-            std::min<std::int64_t>(numConventional_,
-                                   static_cast<std::int64_t>(n));
         if (numConventional_ > 0) {
             // The hottest variables by static reference count move into
             // the conventional region (Sec. VI-C), ties toward lower id.

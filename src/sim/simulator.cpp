@@ -161,16 +161,10 @@ simulateLanes(const Program &program, const std::vector<SimOptions> &lanes)
 }
 
 SimResult
-simulateConventional(const Program &program,
-                     const ConventionalOptions &options)
+simulateConventional(const Program &program, SimOptions options)
 {
-    SimOptions opts;
-    opts.arch.sam = SamKind::Conventional;
-    opts.arch.factories = options.factories;
-    opts.maxInstructions = options.maxInstructions;
-    opts.recordBreakdown = options.recordBreakdown;
-    opts.observers = options.observers;
-    return simulate(program, opts);
+    options.arch.sam = SamKind::Conventional;
+    return simulate(program, options);
 }
 
 } // namespace lsqca

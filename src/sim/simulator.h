@@ -114,27 +114,12 @@ LaneResults simulateLanes(const Program &program,
                           const std::vector<SimOptions> &lanes);
 
 /**
- * Options for the conventional 1/2-density baseline of Sec. VI-A
- * (unit-time access, no path conflicts, unlimited ILP).
+ * simulate() on the conventional 1/2-density baseline of Sec. VI-A
+ * (unit-time access, no path conflicts, unlimited ILP): @p options with
+ * arch.sam set to SamKind::Conventional.
  */
-struct ConventionalOptions
-{
-    /** MSF count. */
-    std::int32_t factories = 1;
-
-    /** Simulate only the first N instructions (0 = whole program). */
-    std::int64_t maxInstructions = 0;
-
-    /** As SimOptions::recordBreakdown. */
-    bool recordBreakdown = false;
-
-    /** As SimOptions::observers. */
-    std::vector<SimObserver *> observers;
-};
-
-/** Convenience wrapper: simulate() on the conventional baseline. */
 SimResult simulateConventional(const Program &program,
-                               const ConventionalOptions &options = {});
+                               SimOptions options = {});
 
 } // namespace lsqca
 

@@ -104,72 +104,6 @@ TEST(Estimator, HybridFractionCountsConventionalCells)
     EXPECT_LT(est.floorplan.density(), 1.0);
 }
 
-TEST(Estimator, ReportContainsKeyNumbers)
-{
-    const Program p = translate(lowerToCliffordT(makeAdder(4)));
-    const ResourceEstimate est = estimateResources(p, ArchConfig{});
-    const std::string report = est.report();
-    EXPECT_NE(report.find("magic states"), std::string::npos);
-    EXPECT_NE(report.find("memory density"), std::string::npos);
-    EXPECT_NE(report.find(std::to_string(est.magicStates)),
-              std::string::npos);
-}
-
-TEST(CodeDistance, GrowsWithExposure)
-{
-    const std::int32_t short_run = requiredCodeDistance(1'000, 100);
-    const std::int32_t long_run = requiredCodeDistance(10'000'000, 100);
-    EXPECT_GE(long_run, short_run);
-    EXPECT_GE(short_run, 3);
-}
-
-TEST(CodeDistance, OverheadFeedsBackIntoDensity)
-{
-    // The paper's Sec. VI-B remark: a floorplan that is 2x slower may
-    // need a larger distance, shrinking its physical-qubit advantage.
-    const std::int64_t cells_dense = 407;  // point SAM, 400 qubits
-    const std::int64_t cells_half = 800;   // conventional
-    const std::int64_t fast = 100'000;
-    const std::int64_t slow = 10 * fast; // 10x overhead
-    const auto d_fast = requiredCodeDistance(fast, cells_half);
-    const auto d_slow = requiredCodeDistance(slow, cells_dense);
-    const auto phys_conv = physicalQubits(cells_half, d_fast);
-    const auto phys_lsqca = physicalQubits(cells_dense, d_slow);
-    // Even with the distance penalty the dense floorplan wins on
-    // physical qubits here, but by less than the naive cell ratio.
-    const double cell_ratio = static_cast<double>(cells_half) /
-                              static_cast<double>(cells_dense);
-    const double phys_ratio = static_cast<double>(phys_conv) /
-                              static_cast<double>(phys_lsqca);
-    EXPECT_LE(phys_ratio, cell_ratio + 1e-12);
-}
-
-TEST(CodeDistance, TighterBudgetNeedsLargerDistance)
-{
-    CodeDistanceModel strict;
-    strict.targetFailure = 1e-6;
-    CodeDistanceModel loose;
-    loose.targetFailure = 1e-1;
-    EXPECT_GT(requiredCodeDistance(1'000'000, 500, strict),
-              requiredCodeDistance(1'000'000, 500, loose));
-}
-
-TEST(CodeDistance, ValidatesModel)
-{
-    CodeDistanceModel bad;
-    bad.physicalErrorRate = 2e-2; // above threshold
-    EXPECT_THROW(requiredCodeDistance(1, 1, bad), ConfigError);
-    EXPECT_THROW(physicalQubits(10, 4), ConfigError); // even distance
-}
-
-TEST(CodeDistance, PhysicalQubitFormula)
-{
-    // d=3: 17 physical qubits per patch; d=11: 241.
-    EXPECT_EQ(physicalQubits(1, 3), 17);
-    EXPECT_EQ(physicalQubits(1, 11), 241);
-    EXPECT_EQ(physicalQubits(10, 3), 170);
-}
-
 TEST(Estimator, DataflowDepthRespectsSkBarriers)
 {
     Program p(2);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/line_sam.h"
+#include "arch/point_sam.h"
 #include "common/error.h"
 
 namespace lsqca {
@@ -122,6 +124,106 @@ TEST(Floorplan, LineBankShapeAddsScanRow)
     const BankShape t = bankShape(cfg, 20, 0);
     EXPECT_EQ(t.rows, 5); // 4x5 data + scan
     EXPECT_EQ(t.cols, 5);
+}
+
+// Footnote 1: rows = ceil(sqrt(capacity + 1)) and the fewest columns
+// that then fit the capacity + 1 cells.
+TEST(Floorplan, PointBankGridIsTheSquarestThatFits)
+{
+    for (std::int32_t capacity = 1; capacity <= 2000; ++capacity) {
+        const std::int32_t cells = capacity + 1;
+        std::int32_t rows = 1;
+        while (rows * rows < cells)
+            ++rows;
+        const BankShape s = pointBankGrid(capacity);
+        ASSERT_EQ(s.rows, rows) << capacity;
+        ASSERT_GE(s.cells(), cells) << capacity;
+        ASSERT_LT(s.rows * (s.cols - 1), cells) << capacity;
+        ASSERT_EQ(s.capacity, capacity) << capacity;
+    }
+    EXPECT_THROW(pointBankGrid(0), ConfigError);
+}
+
+// Sec. VI-A: with L = floor(sqrt(capacity)), the first of L x L,
+// L x (L + 1) and (L + 1) x (L + 1) that holds the capacity.
+TEST(Floorplan, LineDataGridIsTheTightestForm)
+{
+    for (std::int32_t capacity = 1; capacity <= 2000; ++capacity) {
+        std::int32_t side = 1;
+        while ((side + 1) * (side + 1) <= capacity)
+            ++side;
+        std::int32_t rows = side, cols = side;
+        if (rows * cols < capacity)
+            ++cols;
+        if (rows * cols < capacity)
+            ++rows;
+        const BankShape s = lineDataGrid(capacity);
+        ASSERT_EQ(s.rows, rows) << capacity;
+        ASSERT_EQ(s.cols, cols) << capacity;
+        ASSERT_EQ(s.capacity, capacity) << capacity;
+    }
+    EXPECT_THROW(lineDataGrid(0), ConfigError);
+}
+
+// The simulator's banks and the density accounting share one geometry
+// rule, so every bank the simulator runs has the floorplan's shape.
+TEST(Floorplan, SimulatedBanksHaveTheFloorplanShape)
+{
+    ArchConfig point;
+    point.sam = SamKind::Point;
+    ArchConfig line;
+    line.sam = SamKind::Line;
+    for (std::int32_t capacity = 1; capacity <= 2000; ++capacity) {
+        const PointSamBank pbank(capacity, Latencies{});
+        const BankShape pshape = bankShape(point, capacity, 0);
+        ASSERT_EQ(pbank.rows(), pshape.rows) << capacity;
+        ASSERT_EQ(pbank.cols(), pshape.cols) << capacity;
+
+        const LineSamBank lbank(capacity, Latencies{});
+        const BankShape lshape = bankShape(line, capacity, 0);
+        ASSERT_EQ(lbank.dataRows(), lshape.rows - 1) << capacity;
+        ASSERT_EQ(lbank.cols(), lshape.cols) << capacity;
+    }
+}
+
+// A point bank simulates its whole grid, but density counts only its
+// capacity + 1 cells, leaving the spare cells out. Where capacity + 1
+// is a perfect square there is none: Fig. 14's execution-time spikes.
+TEST(Floorplan, PointBankSpareCells)
+{
+    struct Case
+    {
+        std::int32_t capacity, rows, cols, spare;
+    };
+    ArchConfig cfg;
+    cfg.sam = SamKind::Point;
+    for (const Case &c : {Case{360, 19, 19, 0}, Case{195, 14, 14, 0},
+                          Case{400, 21, 20, 19}}) {
+        const PointSamBank bank(c.capacity, Latencies{});
+        EXPECT_EQ(bank.rows(), c.rows) << c.capacity;
+        EXPECT_EQ(bank.cols(), c.cols) << c.capacity;
+        EXPECT_EQ(bank.rows() * bank.cols() - c.capacity - 1, c.spare)
+            << c.capacity;
+        EXPECT_EQ(floorplanStats(cfg, c.capacity, 0).samCells,
+                  c.capacity + 1)
+            << c.capacity;
+    }
+}
+
+TEST(Floorplan, ConventionalCountRoundsHalfUp)
+{
+    ArchConfig cfg;
+    cfg.sam = SamKind::Point;
+    cfg.hybridFraction = 0.05;
+    EXPECT_EQ(conventionalCount(cfg, 127), 6); // 6.35; ceil gives 7
+    cfg.hybridFraction = 0.5;
+    EXPECT_EQ(conventionalCount(cfg, 5), 3); // 2.5 rounds up
+    cfg.hybridFraction = 1.0;
+    EXPECT_EQ(conventionalCount(cfg, 127), 127);
+    cfg.hybridFraction = 0.0;
+    EXPECT_EQ(conventionalCount(cfg, 127), 0);
+    cfg.sam = SamKind::Conventional;
+    EXPECT_EQ(conventionalCount(cfg, 127), 127);
 }
 
 TEST(Floorplan, DensityApproachesOneAsymptotically)

@@ -54,7 +54,9 @@ overhead(const Program &p, SamKind sam, std::int32_t banks,
     opts.arch.banks = banks;
     opts.arch.factories = factories;
     const auto lsqca = simulate(p, opts).execBeats;
-    const auto conv = simulateConventional(p, {.factories = factories}).execBeats;
+    const auto conv =
+        simulateConventional(p, {.arch = {.factories = factories}})
+            .execBeats;
     return static_cast<double>(lsqca) / static_cast<double>(conv);
 }
 

@@ -158,7 +158,8 @@ TEST(GapHeadline, MoreFactoriesWidenLsqcaGap)
     for (std::int32_t f : {1, 4}) {
         point.arch.factories = f;
         const auto lsqca = simulate(p, point).execBeats;
-        const auto conv = simulateConventional(p, {.factories = f}).execBeats;
+        const auto conv =
+            simulateConventional(p, {.arch = {.factories = f}}).execBeats;
         overheads.push_back(static_cast<double>(lsqca) /
                             static_cast<double>(conv));
     }

@@ -156,6 +156,18 @@ TEST(Cli, MergeRejectsADirectoryWithoutBenchFiles)
         << result.output;
 }
 
+TEST(Cli, UsageErrorPrintsOnePrefix)
+{
+    const std::string dir = test::scratchDir("usageerror");
+    const CliResult result =
+        runCli({"run", test::kSmokeSpec, "--bogus"}, dir + "/log");
+    EXPECT_EQ(result.exitCode, 1);
+    EXPECT_EQ(result.output.rfind("lsqca: config error: ", 0), 0u)
+        << result.output;
+    EXPECT_EQ(result.output.find("lsqca: lsqca: "), std::string::npos)
+        << result.output;
+}
+
 TEST(Cli, SubmitStatusResumeRoundTrip)
 {
     const std::string dir = test::scratchDir("campaign");

@@ -85,6 +85,22 @@ TEST(Simulator, IndependentOpsOverlapOnConventional)
     EXPECT_EQ(r.execBeats, 3); // unlimited ILP
 }
 
+TEST(Simulator, ConventionalOverridesTheSamKind)
+{
+    // simulateConventional() runs the conventional machine whatever
+    // arch.sam says: the four H's overlap as on the default machine,
+    // where a point-SAM machine serializes them on its scan cell.
+    Program p(4);
+    for (std::int32_t q = 0; q < 4; ++q)
+        p.append(inst1M(Opcode::HD_M, q));
+    const SimResult point =
+        simulateConventional(p, {.arch = {.sam = SamKind::Point}});
+    EXPECT_EQ(point.execBeats, 3);
+    EXPECT_EQ(point.execBeats, simulateConventional(p).execBeats);
+    EXPECT_DOUBLE_EQ(point.density(), 0.5);
+    EXPECT_GE(simulate(p, {.arch = {.sam = SamKind::Point}}).execBeats, 12);
+}
+
 TEST(Simulator, DependentOpsSerializeOnSameQubit)
 {
     Program p(1);
@@ -143,8 +159,10 @@ TEST(Simulator, MoreFactoriesRelieveMagicBound)
         c.t(i % 4);
     const Program p = translate(c);
     const auto beats1 = simulateConventional(p).execBeats;
-    const auto beats2 = simulateConventional(p, {.factories = 2}).execBeats;
-    const auto beats4 = simulateConventional(p, {.factories = 4}).execBeats;
+    const auto beats2 =
+        simulateConventional(p, {.arch = {.factories = 2}}).execBeats;
+    const auto beats4 =
+        simulateConventional(p, {.arch = {.factories = 4}}).execBeats;
     EXPECT_LE(beats2, beats1);
     EXPECT_LE(beats4, beats2);
     EXPECT_LT(beats4, beats1); // strictly better end to end

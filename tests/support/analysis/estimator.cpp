@@ -1,11 +1,7 @@
 #include "analysis/estimator.h"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
 #include <vector>
-
-#include "common/error.h"
 
 namespace lsqca {
 namespace {
@@ -110,17 +106,9 @@ estimateResources(const Program &program, const ArchConfig &config)
     est.lowerBoundBeats =
         std::max(est.magicProductionBeats, est.dataflowBeats);
 
-    std::int64_t conventional = 0;
-    if (config.sam != SamKind::Conventional)
-        conventional = static_cast<std::int64_t>(
-            config.hybridFraction *
-                static_cast<double>(est.dataQubits) +
-            0.5);
-    else
-        conventional = est.dataQubits;
     est.floorplan =
         floorplanStats(config, est.dataQubits,
-                       std::min(conventional, est.dataQubits));
+                       conventionalCount(config, est.dataQubits));
 
     est.cpiLowerBound =
         est.countedInstructions == 0
@@ -128,60 +116,6 @@ estimateResources(const Program &program, const ArchConfig &config)
             : static_cast<double>(est.lowerBoundBeats) /
                   static_cast<double>(est.countedInstructions);
     return est;
-}
-
-std::int32_t
-requiredCodeDistance(std::int64_t beats, std::int64_t cells,
-                     const CodeDistanceModel &model)
-{
-    LSQCA_REQUIRE(beats >= 0 && cells >= 0,
-                  "negative beats or cells");
-    LSQCA_REQUIRE(model.physicalErrorRate > 0 &&
-                      model.physicalErrorRate < model.thresholdRate,
-                  "physical error rate must sit below threshold");
-    LSQCA_REQUIRE(model.targetFailure > 0 && model.targetFailure < 1,
-                  "target failure must be a probability");
-    const double exposure =
-        std::max<double>(1.0, static_cast<double>(beats)) *
-        std::max<double>(1.0, static_cast<double>(cells));
-    const double ratio =
-        model.physicalErrorRate / model.thresholdRate; // < 1
-    for (std::int32_t d = 3; d <= 99; d += 2) {
-        const double per_patch_beat =
-            model.prefactor *
-            std::pow(ratio, (static_cast<double>(d) + 1.0) / 2.0);
-        if (per_patch_beat * exposure <= model.targetFailure)
-            return d;
-    }
-    return 101; // beyond any practical regime
-}
-
-std::int64_t
-physicalQubits(std::int64_t cells, std::int32_t d)
-{
-    LSQCA_REQUIRE(d >= 3 && d % 2 == 1, "distance must be odd and >= 3");
-    return cells * (2 * static_cast<std::int64_t>(d) * d - 1);
-}
-
-std::string
-ResourceEstimate::report() const
-{
-    std::ostringstream oss;
-    oss << "resource estimate\n"
-        << "  data qubits          : " << dataQubits << "\n"
-        << "  instructions         : " << instructions << " ("
-        << countedInstructions << " counted)\n"
-        << "  magic states         : " << magicStates << "\n"
-        << "  magic production     : " << magicProductionBeats
-        << " beats\n"
-        << "  dataflow critical    : " << dataflowBeats << " beats\n"
-        << "  execution lower bound: " << lowerBoundBeats << " beats\n"
-        << "  CPI lower bound      : " << cpiLowerBound << "\n"
-        << "  cells (SAM/CR/conv)  : " << floorplan.samCells << "/"
-        << floorplan.crCells << "/" << floorplan.conventionalCells
-        << "\n"
-        << "  memory density       : " << floorplan.density() << "\n";
-    return oss.str();
 }
 
 } // namespace lsqca

@@ -919,6 +919,12 @@ main(int argc, char **argv)
             return cmdResume(argc, argv, argv[0]);
         std::cerr << "lsqca: unknown command \"" << command << "\"\n";
         return usage(std::cerr, 2);
+    } catch (const ConfigError &e) {
+        std::cerr << e.what() << "\n"; // already prefixed "lsqca: "
+        return 1;
+    } catch (const InternalError &e) {
+        std::cerr << e.what() << "\n";
+        return 1;
     } catch (const std::exception &e) {
         std::cerr << "lsqca: " << e.what() << "\n";
         return 1;
