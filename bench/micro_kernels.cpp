@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <string>
 
 #include "arch/line_sam.h"
 #include "arch/point_sam.h"
@@ -360,6 +361,27 @@ main(int argc, char **argv)
                           doNotOptimize(sink);
                       }),
                "query", bankCap, "ns_per_storeCost");
+    }
+    // fetchToPortCost/commitFetchToPort is the pair every point-SAM
+    // MZZ_M, CX and CZ of a SELECT program runs (they hold no LD/ST).
+    // Capacity 360 is a 19 x 19 bank with no spare cell (only the scan
+    // hole is empty); 400 is 21 x 20 with 19 spare cells.
+    for (const std::int32_t cap : {360, 400}) {
+        std::vector<QubitId> vars(static_cast<std::size_t>(cap));
+        std::iota(vars.begin(), vars.end(), 0);
+        PointSamBank bank(cap, Latencies{});
+        bank.placeInitial(vars);
+        record("bank/point/fetchToPort/cap" + std::to_string(cap),
+               bestOf(bankReps,
+                      [&] {
+                          std::int64_t sink = 0;
+                          for (QubitId q = 0; q < cap; ++q) {
+                              sink += bank.fetchToPortCost(q);
+                              bank.commitFetchToPort(q);
+                          }
+                          doNotOptimize(sink);
+                      }),
+               "query", cap, "ns_per_fetchToPort");
     }
     {
         // Near-full grid (the SAM operating point): every cell queried

@@ -1,6 +1,8 @@
 #include "arch/config.h"
 
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/error.h"
 
@@ -54,7 +56,19 @@ placementPolicyFromName(const std::string &name)
 std::int32_t
 ArchConfig::effectiveBufferCap() const
 {
-    return bufferCap >= 0 ? bufferCap : 2 * factories;
+    if (bufferCap >= 0)
+        return bufferCap;
+    // The default is computed in 64 bits: 2 * factories overflows an
+    // int32 once factories passes 2^30.
+    const std::int64_t cap = 2 * static_cast<std::int64_t>(factories);
+    if (cap > std::numeric_limits<std::int32_t>::max())
+        throw ConfigError(
+            "factories = " + std::to_string(factories) +
+            " with buffer_cap = -1 (2 * factories) gives a magic buffer "
+            "of " + std::to_string(cap) + " slots, more than " +
+            std::to_string(std::numeric_limits<std::int32_t>::max()) +
+            "; set buffer_cap explicitly");
+    return static_cast<std::int32_t>(cap);
 }
 
 std::string

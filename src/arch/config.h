@@ -106,7 +106,10 @@ struct ArchConfig
     bool warmBuffer = true;       ///< buffer pre-filled at t = 0
     Latencies lat;
 
-    /** Effective buffer capacity (resolves the -1 default). */
+    /**
+     * Effective buffer capacity (resolves the -1 default).
+     * @throws ConfigError when the default 2 * factories exceeds int32.
+     */
     std::int32_t effectiveBufferCap() const;
 
     /** Short identifier, e.g. "point#2" or "conventional". */

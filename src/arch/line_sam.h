@@ -11,13 +11,19 @@
  * The gap is modeled as an index g in [0, H] between data rows: shifting
  * it costs |Δg| beats while data rows keep their logical identity (the
  * physical cells shift; the contents' relative order is preserved).
+ *
+ * The cost and commit methods the simulator calls per instruction are
+ * defined in this header, below the class; construction and initial
+ * placement stay in line_sam.cpp.
  */
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <cstdlib>
 #include <vector>
 
 #include "arch/config.h"
+#include "common/error.h"
 #include "geom/grid.h"
 
 namespace lsqca {
@@ -100,16 +106,26 @@ class LineSamBank
     struct StorePlan
     {
         Coord dest;
+        /**
+         * The empty cell commitStore's makeRoomAt walk starts from: the
+         * nearest empty cell to @c dest (@c dest itself when empty), so
+         * the commit does not search for it again.
+         */
+        Coord hole;
         std::int64_t shifts;
     };
     StorePlan storePlan(QubitId q, bool locality) const;
     std::int32_t nearerGapSide(std::int32_t row) const;
 
+    /** Home cell of @p q; {-1,-1} when never stored (flat by QubitId,
+     *  as PointSamBank::homes_). */
+    Coord &homeSlot(QubitId q);
+
     std::int32_t capacity_;
     Latencies lat_;
     OccupancyGrid grid_; ///< data rows only; the gap is bookkept aside
     std::int32_t gap_ = 0;
-    std::unordered_map<QubitId, Coord> homes_;
+    std::vector<Coord> homes_;
 
     /**
      * Memo for storePlan: storeCost and commitStore ask for the same
@@ -128,6 +144,149 @@ class LineSamBank
     };
     mutable PlanCache planCache_;
 };
+
+inline Coord &
+LineSamBank::homeSlot(QubitId q)
+{
+    LSQCA_ASSERT(q >= 0, "invalid qubit id");
+    const auto idx = static_cast<std::size_t>(q);
+    if (idx >= homes_.size())
+        homes_.resize(idx + 1, Coord{-1, -1});
+    return homes_[idx];
+}
+
+inline std::int64_t
+LineSamBank::alignCostToRow(std::int32_t row) const
+{
+    // Gap positions adjacent to row r are g == r (above) and g == r + 1
+    // (below); each gap shift is one whole-row move (one beat).
+    const std::int64_t above = std::abs(gap_ - row);
+    const std::int64_t below = std::abs(gap_ - (row + 1));
+    return std::min(above, below) * lat_.move;
+}
+
+inline std::int32_t
+LineSamBank::nearerGapSide(std::int32_t row) const
+{
+    return std::abs(gap_ - row) <= std::abs(gap_ - (row + 1)) ? row
+                                                              : row + 1;
+}
+
+inline std::int64_t
+LineSamBank::alignCost(QubitId q) const
+{
+    return alignCostToRow(grid_.locate(q).row);
+}
+
+inline void
+LineSamBank::commitAlign(QubitId q)
+{
+    gap_ = nearerGapSide(grid_.locate(q).row);
+}
+
+inline std::int64_t
+LineSamBank::loadCost(QubitId q) const
+{
+    // Align + step into the gap row + long-range slide into the CR.
+    return alignCost(q) + lat_.move + lat_.longMove;
+}
+
+inline void
+LineSamBank::commitLoad(QubitId q)
+{
+    const Coord pos = grid_.locate(q);
+    gap_ = nearerGapSide(pos.row);
+    grid_.remove(q);
+}
+
+inline bool
+LineSamBank::canDirectSurgery(QubitId a, QubitId b) const
+{
+    const std::int32_t ra = grid_.locate(a).row;
+    const std::int32_t rb = grid_.locate(b).row;
+    return std::abs(ra - rb) <= 1;
+}
+
+inline std::int64_t
+LineSamBank::directSurgeryCost(QubitId a, QubitId b) const
+{
+    const std::int32_t ra = grid_.locate(a).row;
+    const std::int32_t rb = grid_.locate(b).row;
+    if (ra == rb)
+        return alignCostToRow(ra);
+    // Adjacent rows: the gap slots exactly between them.
+    const std::int32_t between = std::max(ra, rb);
+    return std::abs(gap_ - between) * lat_.move;
+}
+
+inline void
+LineSamBank::commitDirectSurgery(QubitId a, QubitId b)
+{
+    const std::int32_t ra = grid_.locate(a).row;
+    const std::int32_t rb = grid_.locate(b).row;
+    gap_ = ra == rb ? nearerGapSide(ra) : std::max(ra, rb);
+}
+
+inline LineSamBank::StorePlan
+LineSamBank::storePlan(QubitId q, bool locality) const
+{
+    if (planCache_.q == q && planCache_.locality == locality &&
+        planCache_.version == grid_.version() && planCache_.gap == gap_)
+        return planCache_.plan;
+    StorePlan plan;
+    if (!locality) {
+        LSQCA_ASSERT(q >= 0 &&
+                         static_cast<std::size_t>(q) < homes_.size() &&
+                         homes_[static_cast<std::size_t>(q)].row >= 0,
+                     "qubit has no home cell in bank");
+        Coord dest = homes_[static_cast<std::size_t>(q)];
+        if (!grid_.isEmptyCell(dest)) {
+            const auto near = grid_.nearestEmpty(dest);
+            LSQCA_ASSERT(near.has_value(), "line-SAM bank is full");
+            dest = *near;
+        }
+        plan = {dest, dest, alignCostToRow(dest.row) / lat_.move};
+    } else {
+        // Locality-aware: drop into a row adjacent to the current gap
+        // (the hot line); the in-flight qubit's hole slides there via
+        // the makeRoomAt insertion, so no gap shifts are needed.
+        //
+        // The hole h nearest (row, 0) is also the one nearest
+        // dest = (row, h.col): an empty cell closer to dest would be
+        // closer to (row, 0) too, and both searches break ties by row,
+        // then column. So the commit walks from h without a second
+        // search.
+        const std::int32_t row =
+            gap_ < grid_.rows() ? gap_ : grid_.rows() - 1;
+        const auto hole = grid_.nearestEmpty({row, 0});
+        LSQCA_ASSERT(hole.has_value(), "line-SAM bank is full");
+        plan = {Coord{row, hole->col}, *hole, 0};
+    }
+    planCache_ = {grid_.version(), q, locality, gap_, plan};
+    return plan;
+}
+
+inline std::int64_t
+LineSamBank::storeCost(QubitId q, bool locality) const
+{
+    const StorePlan plan = storePlan(q, locality);
+    // Slide from the CR along the gap row, then drop into the target
+    // row (after any gap shifts).
+    return plan.shifts * lat_.move + lat_.longMove + lat_.move;
+}
+
+inline Coord
+LineSamBank::commitStore(QubitId q, bool locality)
+{
+    const StorePlan plan = storePlan(q, locality);
+    grid_.makeRoomAt(plan.dest, plan.hole);
+    grid_.place(q, plan.dest);
+    Coord &home = homeSlot(q);
+    if (home.row < 0)
+        home = plan.dest;
+    gap_ = nearerGapSide(plan.dest.row);
+    return plan.dest;
+}
 
 } // namespace lsqca
 

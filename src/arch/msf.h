@@ -8,6 +8,7 @@
  * production stalls while the buffer is full.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +24,9 @@ namespace lsqca {
  * (f factories, buffer capacity B, c = consumption times), with the
  * first B states available at t = 0 when warm-started. Consumption is
  * in program order, matching the in-order scheduler.
+ *
+ * acquire() runs per magic-consuming instruction, so it is defined in
+ * this header; the constructor stays in msf.cpp.
  */
 class MagicSource
 {
@@ -54,6 +58,13 @@ class MagicSource
   private:
     std::int64_t deliveryTime() const;
 
+    /** Store history entry k at @p ring[@p pos], @p pos = k mod @p size. */
+    static void remember(std::vector<std::int64_t> &ring, std::int32_t &pos,
+                         std::int32_t size, std::int64_t value);
+
+    /** First-lap append (cold, out of line: keeps remember() small). */
+    static void grow(std::vector<std::int64_t> &ring, std::int64_t value);
+
     std::int32_t factories_;
     std::int32_t bufferCap_;
     std::int32_t period_;
@@ -72,6 +83,54 @@ class MagicSource
     std::int32_t deliveredPos_ = 0; ///< consumed_ mod factories_
     std::int32_t consumedPos_ = 0;  ///< consumed_ mod bufferCap_
 };
+
+inline void
+MagicSource::remember(std::vector<std::int64_t> &ring, std::int32_t &pos,
+                      std::int32_t size, std::int64_t value)
+{
+    if (static_cast<std::size_t>(pos) < ring.size())
+        ring[static_cast<std::size_t>(pos)] = value;
+    else
+        grow(ring, value); // first lap
+    if (++pos == size)
+        pos = 0;
+}
+
+inline std::int64_t
+MagicSource::deliveryTime() const
+{
+    const std::int64_t k = consumed_;
+    if (warm_ && k < bufferCap_)
+        return 0; // pre-filled buffer at t = 0
+    std::int64_t prev_factory;
+    if (k >= factories_) {
+        prev_factory = delivered_[static_cast<std::size_t>(deliveredPos_)];
+    } else {
+        // Factory's first state after a cold start (or after the warm
+        // prefill was consumed faster than it could be produced).
+        prev_factory = 0;
+    }
+    std::int64_t ready = prev_factory + period_;
+    if (k >= bufferCap_)
+        ready = std::max(
+            ready, consumedAt_[static_cast<std::size_t>(consumedPos_)]);
+    return ready;
+}
+
+inline MagicSource::Grant
+MagicSource::acquire(std::int64_t req)
+{
+    LSQCA_REQUIRE(req >= 0, "negative request time");
+    if (instant_)
+        return {req, req};
+    const std::int64_t ready = deliveryTime();
+    const std::int64_t start = std::max(req, ready);
+    stallBeats_ += std::max<std::int64_t>(0, ready - req);
+    remember(delivered_, deliveredPos_, factories_, ready);
+    remember(consumedAt_, consumedPos_, bufferCap_, start);
+    ++consumed_;
+    return {start, start + transfer_};
+}
 
 } // namespace lsqca
 

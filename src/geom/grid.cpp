@@ -2,6 +2,9 @@
 
 namespace lsqca {
 
+// The per-instruction accessors, mutations and queries are defined in
+// grid.h; construction and the cold paths stay here.
+
 OccupancyGrid::OccupancyGrid(std::int32_t rows, std::int32_t cols)
     : rows_(rows),
       cols_(cols),
@@ -14,159 +17,10 @@ OccupancyGrid::OccupancyGrid(std::int32_t rows, std::int32_t cols)
 {
 }
 
-bool
-OccupancyGrid::contains(const Coord &c) const
-{
-    return c.row >= 0 && c.row < rows_ && c.col >= 0 && c.col < cols_;
-}
-
-std::size_t
-OccupancyGrid::index(const Coord &c) const
-{
-    LSQCA_ASSERT(contains(c), "grid coordinate out of range");
-    return static_cast<std::size_t>(c.row) * static_cast<std::size_t>(cols_)
-           + static_cast<std::size_t>(c.col);
-}
-
-QubitId
-OccupancyGrid::at(const Coord &c) const
-{
-    return cells_[index(c)];
-}
-
-Coord &
-OccupancyGrid::positionSlot(QubitId q)
-{
-    LSQCA_REQUIRE(q >= 0, "invalid qubit id");
-    const auto idx = static_cast<std::size_t>(q);
-    if (idx >= positions_.size())
-        positions_.resize(idx + 1, Coord{-1, -1});
-    return positions_[idx];
-}
-
 void
-OccupancyGrid::place(QubitId q, const Coord &c)
+OccupancyGrid::growPositions(std::size_t size)
 {
-    LSQCA_REQUIRE(q != kNoQubit, "cannot place the sentinel qubit");
-    Coord &slot = positionSlot(q);
-    LSQCA_REQUIRE(slot.row < 0, "qubit already placed");
-    auto &cell = cells_[index(c)];
-    LSQCA_REQUIRE(cell == kNoQubit, "cell already occupied");
-    cell = q;
-    slot = c;
-    empties_.onOccupy(c);
-    ++occupied_;
-    ++version_;
-    if (listener_)
-        listener_->onCellOccupied(q, c);
-}
-
-Coord
-OccupancyGrid::remove(QubitId q)
-{
-    Coord &slot = positionSlot(q);
-    LSQCA_REQUIRE(slot.row >= 0, "qubit not placed");
-    const Coord c = slot;
-    cells_[index(c)] = kNoQubit;
-    slot = Coord{-1, -1};
-    empties_.onVacate(c);
-    --occupied_;
-    ++version_;
-    if (listener_)
-        listener_->onCellVacated(q, c);
-    return c;
-}
-
-Coord
-OccupancyGrid::relocateImpl(QubitId q, const Coord &to)
-{
-    auto &dest = cells_[index(to)];
-    LSQCA_REQUIRE(dest == kNoQubit, "relocate destination occupied");
-    Coord &slot = positionSlot(q);
-    LSQCA_REQUIRE(slot.row >= 0, "qubit not placed");
-    const Coord from = slot;
-    cells_[index(from)] = kNoQubit;
-    dest = q;
-    empties_.onVacate(from);
-    empties_.onOccupy(to);
-    slot = to;
-    ++version_;
-    return from;
-}
-
-void
-OccupancyGrid::relocate(QubitId q, const Coord &to)
-{
-    const Coord from = relocateImpl(q, to);
-    if (listener_) {
-        listener_->onCellVacated(q, from);
-        listener_->onCellOccupied(q, to);
-    }
-}
-
-std::optional<Coord>
-OccupancyGrid::find(QubitId q) const
-{
-    const auto idx = static_cast<std::size_t>(q);
-    if (q < 0 || idx >= positions_.size() || positions_[idx].row < 0)
-        return std::nullopt;
-    return positions_[idx];
-}
-
-Coord
-OccupancyGrid::locate(QubitId q) const
-{
-    const auto pos = find(q);
-    LSQCA_REQUIRE(pos.has_value(), "qubit not placed in grid");
-    return *pos;
-}
-
-std::optional<Coord>
-OccupancyGrid::nearestEmpty(const Coord &target) const
-{
-    return empties_.nearestEmpty(target);
-}
-
-std::optional<Coord>
-OccupancyGrid::nearestEmptyInRow(std::int32_t row,
-                                 std::int32_t target_col) const
-{
-    return empties_.nearestEmptyInRow(row, target_col);
-}
-
-std::int32_t
-OccupancyGrid::makeRoomAt(const Coord &dest)
-{
-    LSQCA_REQUIRE(contains(dest), "makeRoomAt target out of range");
-    if (isEmptyCell(dest))
-        return 0;
-    const auto hole = nearestEmpty(dest);
-    LSQCA_REQUIRE(hole.has_value(), "makeRoomAt on a full grid");
-    Coord cur = *hole;
-    std::int32_t steps = 0;
-    // The listener check is hoisted out of the walk: the virtual
-    // notification call could touch anything, so keeping it inside
-    // forces a listener_ reload per shifted occupant and cost the
-    // unobserved hole walk ~13% (bank/point/storeCost kernel).
-    CellListener *const listener = listener_;
-    while (!(cur == dest)) {
-        Coord next = cur;
-        if (cur.row != dest.row)
-            next.row += dest.row > cur.row ? 1 : -1;
-        else
-            next.col += dest.col > cur.col ? 1 : -1;
-        const QubitId occupant = at(next);
-        if (occupant != kNoQubit) {
-            relocateImpl(occupant, cur);
-            if (listener) {
-                listener->onCellVacated(occupant, next);
-                listener->onCellOccupied(occupant, cur);
-            }
-        }
-        cur = next;
-        ++steps;
-    }
-    return steps;
+    positions_.resize(size, Coord{-1, -1});
 }
 
 std::vector<Coord>

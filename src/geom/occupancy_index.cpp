@@ -1,27 +1,10 @@
 #include "geom/occupancy_index.h"
 
-#include <limits>
-
-#include "common/error.h"
-
 namespace lsqca {
-namespace {
 
-constexpr std::int32_t kWordBits = 64;
-
-std::int32_t
-lowestBit(std::uint64_t word)
-{
-    return static_cast<std::int32_t>(__builtin_ctzll(word));
-}
-
-std::int32_t
-highestBit(std::uint64_t word)
-{
-    return 63 - static_cast<std::int32_t>(__builtin_clzll(word));
-}
-
-} // namespace
+// The per-instruction updates and queries (onOccupy/onVacate, the
+// nearest-empty searches) are defined in the header; construction and
+// the full empty-cell listing stay here.
 
 OccupancyIndex::OccupancyIndex(std::int32_t rows, std::int32_t cols)
     : rows_(rows), cols_(cols)
@@ -47,143 +30,7 @@ OccupancyIndex::OccupancyIndex(std::int32_t rows, std::int32_t cols)
         rowsWithEmpty_[static_cast<std::size_t>(r / kWordBits)] |=
             std::uint64_t{1} << (r % kWordBits);
     freeCountByRow_.assign(static_cast<std::size_t>(rows), cols);
-}
-
-void
-OccupancyIndex::onOccupy(const Coord &c)
-{
-    auto &word = freeBits_[static_cast<std::size_t>(c.row) *
-                               static_cast<std::size_t>(wordsPerRow_) +
-                           static_cast<std::size_t>(c.col / kWordBits)];
-    const std::uint64_t bit = std::uint64_t{1} << (c.col % kWordBits);
-    LSQCA_ASSERT(word & bit, "occupancy index: cell was not empty");
-    word &= ~bit;
-    if (--freeCountByRow_[static_cast<std::size_t>(c.row)] == 0)
-        rowsWithEmpty_[static_cast<std::size_t>(c.row / kWordBits)] &=
-            ~(std::uint64_t{1} << (c.row % kWordBits));
-}
-
-void
-OccupancyIndex::onVacate(const Coord &c)
-{
-    auto &word = freeBits_[static_cast<std::size_t>(c.row) *
-                               static_cast<std::size_t>(wordsPerRow_) +
-                           static_cast<std::size_t>(c.col / kWordBits)];
-    const std::uint64_t bit = std::uint64_t{1} << (c.col % kWordBits);
-    LSQCA_ASSERT(!(word & bit), "occupancy index: cell was already empty");
-    word |= bit;
-    if (freeCountByRow_[static_cast<std::size_t>(c.row)]++ == 0)
-        rowsWithEmpty_[static_cast<std::size_t>(c.row / kWordBits)] |=
-            std::uint64_t{1} << (c.row % kWordBits);
-}
-
-bool
-OccupancyIndex::isEmpty(const Coord &c) const
-{
-    const std::uint64_t word =
-        freeBits_[static_cast<std::size_t>(c.row) *
-                      static_cast<std::size_t>(wordsPerRow_) +
-                  static_cast<std::size_t>(c.col / kWordBits)];
-    return (word >> (c.col % kWordBits)) & 1;
-}
-
-std::int32_t
-OccupancyIndex::nextFreeCol(const std::uint64_t *row,
-                            std::int32_t from) const
-{
-    std::int32_t w = from / kWordBits;
-    std::uint64_t word = row[w] & (~std::uint64_t{0} << (from % kWordBits));
-    while (true) {
-        if (word != 0)
-            return w * kWordBits + lowestBit(word);
-        if (++w >= wordsPerRow_)
-            return -1;
-        word = row[w];
-    }
-}
-
-std::int32_t
-OccupancyIndex::prevFreeCol(const std::uint64_t *row,
-                            std::int32_t from) const
-{
-    std::int32_t w = from / kWordBits;
-    const std::int32_t shift = from % kWordBits;
-    std::uint64_t word =
-        row[w] & (shift == 63 ? ~std::uint64_t{0}
-                              : (std::uint64_t{1} << (shift + 1)) - 1);
-    while (true) {
-        if (word != 0)
-            return w * kWordBits + highestBit(word);
-        if (--w < 0)
-            return -1;
-        word = row[w];
-    }
-}
-
-std::int32_t
-OccupancyIndex::bestColInRow(std::int32_t row, std::int32_t target_col) const
-{
-    const std::uint64_t *bits = rowBits(row);
-    // The scan visits columns in ascending order with a strict
-    // "closer than best" test, so on an exact distance tie the smaller
-    // column (the predecessor) wins.
-    if (target_col <= 0)
-        return nextFreeCol(bits, 0);
-    if (target_col >= cols_ - 1)
-        return prevFreeCol(bits, cols_ - 1);
-    if (isEmpty({row, target_col}))
-        return target_col;
-    const std::int32_t pred = prevFreeCol(bits, target_col);
-    const std::int32_t succ = nextFreeCol(bits, target_col);
-    if (pred < 0)
-        return succ;
-    if (succ < 0)
-        return pred;
-    return target_col - pred <= succ - target_col ? pred : succ;
-}
-
-std::optional<Coord>
-OccupancyIndex::nearestEmpty(const Coord &target) const
-{
-    std::optional<Coord> best;
-    std::int32_t best_dist = std::numeric_limits<std::int32_t>::max();
-    // Ascending row order reproduces the scan's cross-row tie-break
-    // (smaller row wins an exact distance tie); a row whose vertical
-    // distance alone already reaches best_dist cannot strictly improve
-    // and is skipped without probing its column bits.
-    for (std::size_t w = 0; w < rowsWithEmpty_.size(); ++w) {
-        std::uint64_t word = rowsWithEmpty_[w];
-        while (word != 0) {
-            const std::int32_t r =
-                static_cast<std::int32_t>(w) * kWordBits + lowestBit(word);
-            word &= word - 1;
-            const std::int32_t row_dist = std::abs(r - target.row);
-            if (row_dist >= best_dist) {
-                if (r > target.row)
-                    return best; // rows only get farther from here on
-                continue;
-            }
-            const std::int32_t col = bestColInRow(r, target.col);
-            LSQCA_ASSERT(col >= 0,
-                         "occupancy index: non-full row has no free column");
-            const std::int32_t d = row_dist + std::abs(col - target.col);
-            if (d < best_dist) {
-                best_dist = d;
-                best = Coord{r, col};
-            }
-        }
-    }
-    return best;
-}
-
-std::optional<Coord>
-OccupancyIndex::nearestEmptyInRow(std::int32_t row,
-                                  std::int32_t target_col) const
-{
-    LSQCA_REQUIRE(row >= 0 && row < rows_, "row out of range");
-    if (freeCountByRow_[static_cast<std::size_t>(row)] == 0)
-        return std::nullopt;
-    return Coord{row, bestColInRow(row, target_col)};
+    firstFree_.assign(static_cast<std::size_t>(rows), 0);
 }
 
 std::vector<Coord>
@@ -194,8 +41,9 @@ OccupancyIndex::emptyCells() const
         if (freeCountByRow_[static_cast<std::size_t>(r)] == 0)
             continue;
         const std::uint64_t *bits = rowBits(r);
-        for (std::int32_t c = nextFreeCol(bits, 0); c >= 0;
-             c = c + 1 < cols_ ? nextFreeCol(bits, c + 1) : -1)
+        for (std::int32_t c = nextSetBit(bits, wordsPerRow_, 0); c >= 0;
+             c = c + 1 < cols_ ? nextSetBit(bits, wordsPerRow_, c + 1)
+                               : -1)
             out.push_back({r, c});
     }
     return out;

@@ -538,5 +538,99 @@ TEST_P(GridDifferential, IndexMatchesReferenceScan)
 INSTANTIATE_TEST_SUITE_P(Seeds, GridDifferential,
                          ::testing::Range(0, fuzzSeedCount()));
 
+/**
+ * The same differential on near-full grids of 60 to 140 rows and up to
+ * 140 columns, the shape of the largest fig15 --full banks: the row
+ * bitmask and the rows' column bitmasks span several 64-bit words, so
+ * the nearest-empty window crosses word boundaries.
+ */
+class TallGridDifferential : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(TallGridDifferential, IndexMatchesReferenceScan)
+{
+    const std::uint64_t seed = differentialSeed(GetParam()) ^ 0x7a11ULL;
+    Rng rng(seed);
+    const auto rows = static_cast<std::int32_t>(rng.between(60, 140));
+    const auto cols = static_cast<std::int32_t>(rng.between(1, 140));
+    OccupancyGrid opt(rows, cols);
+    reference::ReferenceOccupancyGrid ref(rows, cols);
+    QubitId next_q = 0;
+    for (std::int32_t r = 0; r < rows; ++r)
+        for (std::int32_t c = 0; c < cols; ++c)
+            if (!rng.chance(0.02)) {
+                opt.place(next_q, {r, c});
+                ref.place(next_q, {r, c});
+                ++next_q;
+            }
+
+    for (int step = 0; step < 300; ++step) {
+        const Coord target{
+            static_cast<std::int32_t>(rng.between(-2, rows + 1)),
+            static_cast<std::int32_t>(rng.between(-2, cols + 1))};
+        switch (rng.below(5)) {
+          case 0: { // remove a random resident qubit
+            if (ref.occupiedCount() > 0) {
+                QubitId q;
+                do {
+                    q = static_cast<QubitId>(rng.below(
+                        static_cast<std::uint64_t>(next_q)));
+                } while (!ref.find(q).has_value());
+                ASSERT_EQ(opt.remove(q), ref.remove(q))
+                    << "seed " << seed << " step " << step;
+            }
+            break;
+          }
+          case 1: { // makeRoomAt an in-grid cell, then fill it
+            if (ref.emptyCount() > 0) {
+                const Coord dest{
+                    static_cast<std::int32_t>(rng.below(
+                        static_cast<std::uint64_t>(rows))),
+                    static_cast<std::int32_t>(rng.below(
+                        static_cast<std::uint64_t>(cols)))};
+                ASSERT_EQ(opt.makeRoomAt(dest), ref.makeRoomAt(dest))
+                    << "seed " << seed << " step " << step;
+                opt.place(next_q, dest);
+                ref.place(next_q, dest);
+                ++next_q;
+            }
+            break;
+          }
+          case 2: { // column-0 query, the shape of every hot bank search
+            const Coord port{target.row, 0};
+            ASSERT_EQ(opt.nearestEmpty(port), ref.nearestEmpty(port))
+                << "seed " << seed << " step " << step << " target "
+                << port;
+            break;
+          }
+          case 3:
+            ASSERT_EQ(opt.nearestEmpty(target), ref.nearestEmpty(target))
+                << "seed " << seed << " step " << step << " target "
+                << target;
+            break;
+          default: {
+            const auto row = static_cast<std::int32_t>(
+                rng.below(static_cast<std::uint64_t>(rows)));
+            ASSERT_EQ(opt.nearestEmptyInRow(row, target.col),
+                      ref.nearestEmptyInRow(row, target.col))
+                << "seed " << seed << " step " << step << " row " << row
+                << " target_col " << target.col;
+            break;
+          }
+        }
+        ASSERT_EQ(opt.occupiedCount(), ref.occupiedCount())
+            << "seed " << seed << " step " << step;
+        if (step % 64 == 0) {
+            ASSERT_EQ(opt.emptyCells(), ref.emptyCells())
+                << "seed " << seed << " step " << step;
+        }
+    }
+    ASSERT_EQ(opt.emptyCells(), ref.emptyCells()) << "seed " << seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TallGridDifferential,
+                         ::testing::Range(0, fuzzSeedCount()));
+
 } // namespace
 } // namespace lsqca

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/error.h"
 
 namespace lsqca {
@@ -41,6 +44,31 @@ TEST(ArchConfig, BufferCapOverride)
     EXPECT_EQ(cfg.effectiveBufferCap(), 8);
     cfg.bufferCap = 3;
     EXPECT_EQ(cfg.effectiveBufferCap(), 3);
+}
+
+TEST(ArchConfig, DefaultBufferCapOverflowIsAConfigError)
+{
+    // The spec reader accepts factories up to INT32_MAX, and the
+    // default buffer of 2 * factories overflows an int32 past 2^30.
+    ArchConfig cfg;
+    cfg.factories = 1'100'000'000;
+    try {
+        cfg.validate();
+        FAIL() << "validate() accepted a default buffer of 2.2e9 slots";
+    } catch (const ConfigError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("factories"), std::string::npos) << what;
+        EXPECT_NE(what.find("buffer_cap"), std::string::npos) << what;
+    }
+    EXPECT_THROW((void)cfg.effectiveBufferCap(), ConfigError);
+    // The largest default that fits, and an explicit cap, still work.
+    cfg.factories = std::numeric_limits<std::int32_t>::max() / 2;
+    EXPECT_EQ(cfg.effectiveBufferCap(), 2 * cfg.factories);
+    EXPECT_NO_THROW(cfg.validate());
+    cfg.factories = 1'100'000'000;
+    cfg.bufferCap = 8;
+    EXPECT_EQ(cfg.effectiveBufferCap(), 8);
+    EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(ArchConfig, PointSamBankLimit)

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace lsqca {
 namespace {
@@ -196,6 +197,36 @@ TEST(OccupancyGrid, TieOrderSurvivesChurn)
         for (std::int32_t c = 0; c < 4; ++c)
             EXPECT_EQ(g.nearestEmpty({r, c}), brute(g, {r, c}))
                 << "target (" << r << "," << c << ")";
+}
+
+TEST(OccupancyGrid, LineStoreHoleIsNearestToItsDestination)
+{
+    // A locality line store finds h = nearestEmpty({r, 0}), stores at
+    // {r, h.col}, and walks from h without searching again. That is
+    // sound only if h is also the empty cell nearest that destination,
+    // ties included. Random grids from near-full to half-full, tall
+    // enough for the row bitmasks to span several words.
+    for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+        Rng rng(seed);
+        const auto rows = static_cast<std::int32_t>(rng.between(1, 90));
+        const auto cols = static_cast<std::int32_t>(rng.between(1, 90));
+        const double fill = seed % 3 == 0 ? 0.5 : 0.97;
+        OccupancyGrid g(rows, cols);
+        QubitId q = 0;
+        for (std::int32_t r = 0; r < rows; ++r)
+            for (std::int32_t c = 0; c < cols; ++c)
+                if (rng.chance(fill))
+                    g.place(q++, {r, c});
+        if (g.emptyCount() == 0)
+            g.remove(static_cast<QubitId>(rng.below(
+                static_cast<std::uint64_t>(q))));
+        for (std::int32_t r = 0; r < rows; ++r) {
+            const auto hole = g.nearestEmpty({r, 0});
+            ASSERT_TRUE(hole.has_value());
+            EXPECT_EQ(g.nearestEmpty({r, hole->col}), hole)
+                << "seed " << seed << " row " << r;
+        }
+    }
 }
 
 TEST(OccupancyGrid, VersionBumpsOnEveryMutation)

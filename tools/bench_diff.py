@@ -8,9 +8,18 @@ a baseline and a candidate run and:
 
   * fails (exit 1) when any *timing* metric regresses by more than
     --threshold (default 10%),
-  * fails when any --exact metric differs at all (use for cpi /
+  * fails (exit 1) when any --exact metric differs at all (use for cpi /
     exec_beats: the sweep engine guarantees bit-identical results, so
-    any drift is a correctness bug, not noise).
+    any drift is a correctness bug, not noise),
+  * fails (exit 2) when an entry is on one side only and no shared
+    metric failed: the two runs measured different entry sets (a kernel
+    added or removed, a renamed sweep point, a truncated shard).
+
+Exit codes: 0 = pass, 1 = a shared metric failed (or the documents
+share no entry), 2 = the only failures are one-sided entries. Both
+nonzero codes fail a gate; the advisory CI micro compare tells them
+apart. The "only in baseline" / "only in candidate" lines name the
+one-sided entries.
 
 Timing metrics are those whose key matches --timing-regex
 (default: wall_seconds / ns_per_*). Lower is better for all of them.
@@ -118,15 +127,18 @@ def main():
     # experiment (renamed sweep point, truncated shard, partial
     # merge); name the culprits and fail instead of quietly comparing
     # the intersection.
+    only_base = sorted(set(base) - set(cand))
+    only_cand = sorted(set(cand) - set(base))
+    one_sided = []
+    for name in only_base:
+        one_sided.append(f"entry \"{name}\" is in the baseline "
+                         f"({args.baseline}) but missing from the "
+                         f"candidate ({args.candidate})")
+    for name in only_cand:
+        one_sided.append(f"entry \"{name}\" is in the candidate "
+                         f"({args.candidate}) but missing from the "
+                         f"baseline ({args.baseline})")
     failures = []
-    for name in sorted(set(base) - set(cand)):
-        failures.append(f"entry \"{name}\" is in the baseline "
-                        f"({args.baseline}) but missing from the "
-                        f"candidate ({args.candidate})")
-    for name in sorted(set(cand) - set(base)):
-        failures.append(f"entry \"{name}\" is in the candidate "
-                        f"({args.candidate}) but missing from the "
-                        f"baseline ({args.baseline})")
     compared = 0
     for name in shared:
         b_metrics, c_metrics = base[name], cand[name]
@@ -174,10 +186,17 @@ def main():
                   f"({change * +100:+.1f}%){marker}")
 
     print(f"bench_diff: {len(shared)} shared entries, "
-          f"{compared} metrics compared, {len(failures)} failures")
-    for failure in failures:
+          f"{compared} metrics compared, "
+          f"{len(failures) + len(one_sided)} failures")
+    if only_base:
+        print(f"bench_diff: only in baseline: {', '.join(only_base)}")
+    if only_cand:
+        print(f"bench_diff: only in candidate: {', '.join(only_cand)}")
+    for failure in one_sided + failures:
         print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    if failures:
+        return 1
+    return 2 if one_sided else 0
 
 
 if __name__ == "__main__":
