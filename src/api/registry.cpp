@@ -1,10 +1,13 @@
 #include "api/registry.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <limits>
 
 #include "api/json_reader.h"
 #include "common/error.h"
+#include "sweep/fan_out.h"
 #include "synth/benchmarks.h"
 
 namespace lsqca::api {
@@ -248,27 +251,106 @@ BenchmarkRegistry::canonicalParams(const std::string &name,
 
 const Program &
 BenchmarkRegistry::program(const std::string &name, const Json &params,
-                           const TranslateOptions &translate_options,
+                           const TranslateOptions &translate,
                            std::int64_t maxInstructions)
 {
-    const BenchmarkEntry &bench = entry(name);
-    const Json canonical = bench.canonicalize(params);
-    const std::string key =
-        name + "|" + canonical.dump(0) + "|" +
-        (translate_options.inMemoryOps ? "mem" : "ldst") + "|cr" +
-        std::to_string(translate_options.crSlots) + "|n" +
-        std::to_string(std::max<std::int64_t>(maxInstructions, 0));
-    auto found = programs_.find(key);
-    if (found == programs_.end()) {
-        // One pass: gadgets expand inside translation, so only the
-        // synthesized macro circuit (a temporary, freed at the end of
-        // this statement) stays alive next to the Program being built.
-        auto program = std::make_unique<Program>(lowerAndTranslate(
-            bench.synthesize(canonical), translate_options,
-            ToffoliStyle::Textbook7T, maxInstructions));
-        found = programs_.emplace(key, std::move(program)).first;
+    return *programs({{name, params, translate, maxInstructions}}, 1)
+                .front();
+}
+
+std::vector<const Program *>
+BenchmarkRegistry::programs(const std::vector<ProgramRequest> &requests,
+                            std::int32_t threads)
+{
+    // One distinct key the memo misses: a worker builds it into its own
+    // slot, and this thread memoizes it after the join.
+    struct Build
+    {
+        const BenchmarkEntry *bench;
+        Json canonical;
+        const ProgramRequest *request;
+        std::string key;
+        std::unique_ptr<Program> program = nullptr;
+        std::exception_ptr failure = nullptr;
+        const Program *memoized = nullptr;
+    };
+    constexpr std::size_t kNoBuild = static_cast<std::size_t>(-1);
+    std::vector<Build> builds;
+    std::unordered_map<std::string, std::size_t> buildOf;
+    std::vector<const Program *> found(requests.size(), nullptr);
+    std::vector<std::size_t> buildOfRequest(requests.size(), kNoBuild);
+    std::vector<std::exception_ptr> failures(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const ProgramRequest &request = requests[i];
+        try {
+            const BenchmarkEntry &bench = entry(request.bench);
+            Json canonical = bench.canonicalize(request.params);
+            std::string key =
+                request.bench + "|" + canonical.dump(0) + "|" +
+                (request.translate.inMemoryOps ? "mem" : "ldst") +
+                "|cr" + std::to_string(request.translate.crSlots) +
+                "|n" +
+                std::to_string(
+                    std::max<std::int64_t>(request.maxInstructions, 0));
+            const auto memo = programs_.find(key);
+            if (memo != programs_.end()) {
+                found[i] = memo->second.get();
+                continue;
+            }
+            const auto [slot, fresh] = buildOf.emplace(key, builds.size());
+            if (fresh)
+                builds.push_back(
+                    {&bench, std::move(canonical), &request, std::move(key)});
+            buildOfRequest[i] = slot->second;
+        } catch (...) {
+            failures[i] = std::current_exception();
+        }
     }
-    return *found->second;
+
+    std::atomic<std::size_t> next{0};
+    detail::fanOut(
+        static_cast<std::size_t>(detail::resolveThreads(threads)),
+        builds.size(), [&](std::size_t) {
+            for (;;) {
+                const std::size_t k =
+                    next.fetch_add(1, std::memory_order_relaxed);
+                if (k >= builds.size())
+                    break;
+                Build &build = builds[k];
+                // One pass: gadgets expand inside translation, so only
+                // the synthesized macro circuit (a temporary, freed at
+                // the end of this statement) stays alive next to the
+                // Program being built. A failure stays in its slot, so
+                // the other builds finish and the error reported below
+                // does not depend on which thread failed first.
+                try {
+                    build.program = std::make_unique<Program>(
+                        lowerAndTranslate(
+                            build.bench->synthesize(build.canonical),
+                            build.request->translate,
+                            ToffoliStyle::Textbook7T,
+                            build.request->maxInstructions));
+                } catch (...) {
+                    build.failure = std::current_exception();
+                }
+            }
+        });
+
+    for (Build &build : builds)
+        if (build.program != nullptr)
+            build.memoized = programs_
+                                 .emplace(std::move(build.key),
+                                          std::move(build.program))
+                                 .first->second.get();
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        if (buildOfRequest[i] != kNoBuild) {
+            found[i] = builds[buildOfRequest[i]].memoized;
+            failures[i] = builds[buildOfRequest[i]].failure;
+        }
+        if (failures[i])
+            std::rethrow_exception(failures[i]);
+    }
+    return found;
 }
 
 double

@@ -10,9 +10,11 @@
  * (lowerAndTranslate: no lowered circuit is built), memoizing the
  * result so one program shared across N sweep points is built exactly
  * once — the largest part of a big sweep's setup. A sweep asks for
- * each program once, with the longest prefix its jobs simulate
- * (runSpec), so a 60k-instruction steady-state sweep never translates
- * the rest of a million-instruction program.
+ * all its programs in one batch, each with the longest prefix its jobs
+ * simulate (runSpec), so a 60k-instruction steady-state sweep never
+ * translates the rest of a million-instruction program, and the
+ * batch builds in parallel, on as many threads as the sweep, before
+ * the sweep starts.
  *
  * Parameters are validated strictly (unknown keys and out-of-range
  * values throw ConfigError) and canonicalized (defaults filled in), so
@@ -58,7 +60,27 @@ struct BenchmarkEntry
     std::function<double(const Json &canonical)> hotFraction;
 };
 
-/** Maps names + parameter objects to translated Programs (memoized). */
+/** One program a caller asks the registry for (see program()). */
+struct ProgramRequest
+{
+    std::string bench;
+    Json params;
+    TranslateOptions translate;
+    std::int64_t maxInstructions = 0;
+};
+
+/**
+ * Maps names + parameter objects to translated Programs (memoized).
+ *
+ * Where builds run: program() builds on the calling thread; programs()
+ * builds the programs its batch misses on worker threads, at most one
+ * per distinct program, through the fan-out the sweep engine uses
+ * (src/sweep/fan_out.h), and runSpec() hands it the sweep's thread
+ * count. Synthesis and translation hold no shared state, and only the
+ * calling thread reads or writes the memo, so the registry takes no
+ * lock. Like any container, one registry must not be called from two
+ * threads at once.
+ */
 class BenchmarkRegistry
 {
   public:
@@ -92,11 +114,31 @@ class BenchmarkRegistry
      * still the whole program's. The memo is keyed on the limit too,
      * so ask once per program with the longest limit any of its jobs
      * needs. 0 (or less, as SimOptions::maxInstructions) builds the
-     * whole program.
+     * whole program. This is programs() with one request, on the
+     * calling thread.
      */
     const Program &program(const std::string &name, const Json &params,
                            const TranslateOptions &translate = {},
                            std::int64_t maxInstructions = 0);
+
+    /**
+     * The program() of every request, in request order. The calling
+     * thread canonicalizes each request and looks its key up in the
+     * memo. The misses, one build per distinct key, run on
+     * min(@p threads, misses) threads (0 = hardware concurrency, as
+     * SweepOptions::threads; 1 or a single miss builds on the calling
+     * thread), each into its own slot, and the calling thread memoizes
+     * them once every build has finished.
+     *
+     * A request that fails (an unknown name, bad params or a throwing
+     * build) fails the call with the error of the first failing
+     * request in request order, at every thread count, after every
+     * build has finished. The builds that succeeded stay memoized; a
+     * failed key is not, so asking again retries it.
+     */
+    std::vector<const Program *>
+    programs(const std::vector<ProgramRequest> &requests,
+             std::int32_t threads);
 
     /** Hot-set fraction (see BenchmarkEntry). @throws when undefined. */
     double hotFraction(const std::string &name, const Json &params) const;

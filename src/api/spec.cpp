@@ -670,44 +670,40 @@ runSpec(const SweepSpec &spec, BenchmarkRegistry &registry,
     // longest prefix its jobs simulate (0, the whole program, wins):
     // the paper's 60k-instruction steady-state sweeps never translate
     // the rest of a million-instruction multiplier.
-    struct Build
-    {
-        const ExpandedJob *first; ///< the first job naming the program
-        std::int64_t limit;
-        const Program *program = nullptr;
-    };
-    std::vector<Build> builds;
-    std::unordered_map<std::string, std::size_t> buildOf;
-    std::vector<std::size_t> jobBuild;
-    jobBuild.reserve(stale.size());
+    std::vector<ProgramRequest> requests;
+    std::unordered_map<std::string, std::size_t> requestOf;
+    std::vector<std::size_t> jobRequest;
+    jobRequest.reserve(stale.size());
     for (const std::size_t i : stale) {
         const ExpandedJob &expanded = run.expanded[i];
         const std::int64_t limit =
             std::max<std::int64_t>(expanded.options.maxInstructions, 0);
         // Canonical params: equal programs have equal keys.
-        const auto [found, fresh] = buildOf.emplace(
+        const auto [found, fresh] = requestOf.emplace(
             expanded.bench + "|" + expanded.params.dump(0) + "|" +
                 toJson(expanded.translate).dump(0),
-            builds.size());
+            requests.size());
         if (fresh) {
-            builds.push_back({&expanded, limit});
+            requests.push_back({expanded.bench, expanded.params,
+                                expanded.translate, limit});
         } else {
-            std::int64_t &longest = builds[found->second].limit;
+            std::int64_t &longest = requests[found->second].maxInstructions;
             longest = longest == 0 || limit == 0 ? 0
                                                  : std::max(longest, limit);
         }
-        jobBuild.push_back(found->second);
+        jobRequest.push_back(found->second);
     }
-    for (Build &build : builds)
-        build.program =
-            &registry.program(build.first->bench, build.first->params,
-                              build.first->translate, build.limit);
+    // The builds fan out over as many threads as the sweep, and all
+    // finish before it starts, so none of their time lands in its wall
+    // clock.
+    const std::vector<const Program *> programs =
+        registry.programs(requests, options.threads);
     run.jobs.reserve(stale.size());
     for (std::size_t k = 0; k < stale.size(); ++k) {
         const ExpandedJob &expanded = run.expanded[stale[k]];
         SweepJob job;
         job.name = expanded.name;
-        job.program = builds[jobBuild[k]].program;
+        job.program = programs[jobRequest[k]];
         job.options = expanded.options;
         run.jobs.push_back(std::move(job));
     }

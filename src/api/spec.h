@@ -236,7 +236,11 @@ std::vector<ExpandedJob> expandSpec(const SweepSpec &spec,
 /** Options for runSpec. */
 struct RunSpecOptions
 {
-    /** Sweep workers; 0 = hardware concurrency. */
+    /**
+     * Worker threads for the sweep, and before it for the program
+     * builds (at most one per distinct program); 0 = hardware
+     * concurrency.
+     */
     std::int32_t threads = 0;
     /** Where BENCH_<name>.json lands. */
     std::string outDir = "bench/out";
@@ -325,6 +329,14 @@ struct SpecRun
  * The single entry point every sweep goes through: expand, slice,
  * resolve programs via @p registry (memoized translation), fan out
  * over the SweepEngine, and build/write the BENCH document.
+ *
+ * The distinct programs the slice's computed jobs need are built in
+ * one BenchmarkRegistry::programs() batch on up to options.threads
+ * threads (one per program at most), and every build finishes before
+ * SweepEngine::run() starts, so SweepReport::wallSeconds holds no
+ * build time. A failing build throws, after every build thread has
+ * joined, the error of the first failing program in job order,
+ * whatever the thread count.
  */
 SpecRun runSpec(const SweepSpec &spec, BenchmarkRegistry &registry,
                 const RunSpecOptions &options = {});

@@ -194,9 +194,7 @@ LineSamBank::loadCost(QubitId q) const
 inline void
 LineSamBank::commitLoad(QubitId q)
 {
-    const Coord pos = grid_.locate(q);
-    gap_ = nearerGapSide(pos.row);
-    grid_.remove(q);
+    gap_ = nearerGapSide(grid_.remove(q).row);
 }
 
 inline bool

@@ -105,6 +105,9 @@ class PointSamBank
     Coord homeOrNearest(QubitId q) const;
     Coord storeDestination(QubitId q, bool locality) const;
     std::int64_t pickCost(const Coord &from, const Coord &to) const;
+    /** seekCost() for a qubit already located at @p pos, so a cost
+     *  that also picks the qubit looks it up once. */
+    std::int64_t seekCostTo(const Coord &pos) const;
 
     /** Home cell of @p q; {-1,-1} when never stored (flat by QubitId,
      *  same layout argument as OccupancyGrid::positions_). */
@@ -158,11 +161,16 @@ PointSamBank::pickCost(const Coord &from, const Coord &to) const
 }
 
 inline std::int64_t
-PointSamBank::seekCost(QubitId q) const
+PointSamBank::seekCostTo(const Coord &pos) const
 {
-    const Coord pos = grid_.locate(q);
     const std::int64_t dist = manhattan(scan_, pos);
     return std::max<std::int64_t>(0, dist - 1) * lat_.move;
+}
+
+inline std::int64_t
+PointSamBank::seekCost(QubitId q) const
+{
+    return seekCostTo(grid_.locate(q));
 }
 
 inline void
@@ -175,7 +183,7 @@ inline std::int64_t
 PointSamBank::loadCost(QubitId q) const
 {
     const Coord pos = grid_.locate(q);
-    return seekCost(q) + pickCost(pos, port_) + lat_.move;
+    return seekCostTo(pos) + pickCost(pos, port_) + lat_.move;
 }
 
 inline void
@@ -238,7 +246,7 @@ inline std::int64_t
 PointSamBank::fetchToPortCost(QubitId q) const
 {
     const Coord pos = grid_.locate(q);
-    return seekCost(q) + pickCost(pos, port_);
+    return seekCostTo(pos) + pickCost(pos, port_);
 }
 
 inline void

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <exception>
 #include <functional>
-#include <thread>
 #include <unordered_map>
 
 #include "api/serialize.h"
 #include "common/error.h"
+#include "sweep/fan_out.h"
 
 namespace lsqca {
 namespace {
@@ -117,10 +116,7 @@ workItems(const std::vector<SweepJob> &jobs, std::size_t workers)
 } // namespace
 
 SweepEngine::SweepEngine(SweepOptions options)
-    : threads_(options.threads > 0
-                   ? options.threads
-                   : static_cast<std::int32_t>(std::max(
-                         1u, std::thread::hardware_concurrency()))),
+    : threads_(detail::resolveThreads(options.threads)),
       metrics_(options.metrics)
 {
 }
@@ -206,32 +202,7 @@ SweepEngine::run(const std::vector<SweepJob> &jobs) const
                 .set(busy);
     };
 
-    const std::size_t workers =
-        std::min(static_cast<std::size_t>(threads_), groups.size());
-    if (workers <= 1) {
-        drain(0);
-    } else {
-        // An exception escaping a thread would terminate the process,
-        // so each worker parks its first one; a failed worker stops
-        // pulling jobs while the others drain the rest. jthread joins
-        // on scope exit, also when a later thread fails to start.
-        std::vector<std::exception_ptr> failures(workers);
-        {
-            std::vector<std::jthread> threads;
-            threads.reserve(workers);
-            for (std::size_t w = 0; w < workers; ++w)
-                threads.emplace_back([&, w] {
-                    try {
-                        drain(w);
-                    } catch (...) {
-                        failures[w] = std::current_exception();
-                    }
-                });
-        }
-        for (const std::exception_ptr &failure : failures)
-            if (failure)
-                std::rethrow_exception(failure);
-    }
+    detail::fanOut(static_cast<std::size_t>(threads_), groups.size(), drain);
     report.wallSeconds = secondsSince(t0);
     if (metrics_ != nullptr)
         metrics_->gauge("sweep.wall_seconds").set(report.wallSeconds);

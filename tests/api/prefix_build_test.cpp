@@ -20,6 +20,7 @@
 #include "api/job_cache.h"
 #include "api/paper_specs.h"
 #include "api/registry.h"
+#include "api/serialize.h"
 #include "api/spec.h"
 #include "sim/simulator.h"
 #include "sweep/sweep.h"
@@ -63,7 +64,7 @@ TEST_P(RunSpecPrefix, ResultsEqualSimulationOverWholePrograms)
 {
     const SweepSpec spec = specs::byName(GetParam());
     const std::vector<SimResult> want = simulateOverWholePrograms(spec);
-    for (const std::int32_t threads : {1, 4}) {
+    for (const std::int32_t threads : {1, 4, 8}) {
         SCOPED_TRACE("threads " + std::to_string(threads));
         BenchmarkRegistry registry = BenchmarkRegistry::paper();
         RunSpecOptions options;
@@ -74,6 +75,18 @@ TEST_P(RunSpecPrefix, ResultsEqualSimulationOverWholePrograms)
         for (std::size_t i = 0; i < want.size(); ++i)
             expectSameResult(run.report.results[i], want[i],
                              run.jobs[i].name);
+        // One build per distinct (bench, params, translate), shared by
+        // every job that names it, whichever thread built it.
+        std::set<std::string> named;
+        std::set<const Program *> used;
+        for (std::size_t i = 0; i < run.jobs.size(); ++i) {
+            const ExpandedJob &job = run.expanded[i];
+            named.insert(job.bench + "|" + job.params.dump(0) + "|" +
+                         toJson(job.translate).dump(0));
+            used.insert(run.jobs[i].program);
+        }
+        EXPECT_EQ(registry.cachedPrograms(), named.size());
+        EXPECT_EQ(used.size(), named.size());
     }
 }
 

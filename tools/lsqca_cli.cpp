@@ -81,7 +81,8 @@ usage(std::ostream &out, int code)
         "      --full            builtin specs only: drop prefixes\n"
         "  run <spec>          expand and simulate a sweep spec (a\n"
         "                      .json path, or a builtin name)\n"
-        "      --threads N       sweep workers (0 = hardware)\n"
+        "      --threads N       workers that build the programs, then\n"
+        "                        run the sweep (0 = hardware)\n"
         "      --out DIR         BENCH output dir (default bench/out)\n"
         "      --shard i/N       run a contiguous slice of the sweep\n"
         "      --no-timing       zero wall-clock fields (deterministic"
