@@ -2,8 +2,9 @@
  * @file
  * Chrono-based microbenchmarks for the hot paths this repo's perf work
  * tracks: whole simulate() calls per machine kind (plus lockstep lanes,
- * and the per-job Machine setup in front of each) and the program build
- * in front of a sweep. Emits BENCH_micro.json so successive runs are
+ * and the per-job Machine setup in front of each), the program build
+ * in front of a sweep, and the Json and job-cache work of a cached
+ * resubmit. Emits BENCH_micro.json so successive runs are
  * machine-comparable (tools/bench_diff.py fails CI on >10% regressions).
  *
  * Usage:
@@ -15,9 +16,13 @@
 
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <numeric>
 #include <string>
 
+#include "api/paper_specs.h"
+#include "api/registry.h"
+#include "api/spec.h"
 #include "arch/line_sam.h"
 #include "arch/point_sam.h"
 #include "bench_util.h"
@@ -25,6 +30,7 @@
 #include "common/fs.h"
 #include "common/json.h"
 #include "geom/grid.h"
+#include "service/cache.h"
 #include "service/journal.h"
 #include "sim/machine.h"
 #include "synth/benchmarks.h"
@@ -60,6 +66,26 @@ bestOf(int reps, F &&fn)
         best = std::min(best, now() - t0);
     }
     return best;
+}
+
+/**
+ * Best-of-@p reps wall time of one call to @p fn, where each sample
+ * repeats the call until it lasts at least about 1 ms: a call of a
+ * few microseconds, timed alone, is lost in clock and scheduler noise.
+ */
+template <typename F>
+double
+bestPerCall(int reps, F &&fn)
+{
+    const auto calls = [&](std::int64_t n) {
+        for (std::int64_t i = 0; i < n; ++i)
+            fn();
+    };
+    std::int64_t n = 1;
+    while (n < (std::int64_t{1} << 24) &&
+           bestOf(1, [&] { calls(n); }) < 1e-3)
+        n *= 2;
+    return bestOf(reps, [&] { calls(n); }) / static_cast<double>(n);
 }
 
 struct Entry
@@ -312,7 +338,7 @@ main(int argc, char **argv)
         PointSamBank bank(bankCap, Latencies{});
         bank.placeInitial(bankVars);
         record("bank/point/loadCost",
-               bestOf(bankReps,
+               bestPerCall(bankReps,
                       [&] {
                           std::int64_t sink = 0;
                           for (QubitId q = 0; q < bankCap; ++q)
@@ -340,7 +366,7 @@ main(int argc, char **argv)
         LineSamBank bank(bankCap, Latencies{});
         bank.placeInitial(bankVars);
         record("bank/line/loadCost",
-               bestOf(bankReps,
+               bestPerCall(bankReps,
                       [&] {
                           std::int64_t sink = 0;
                           for (QubitId q = 0; q < bankCap; ++q)
@@ -434,6 +460,60 @@ main(int argc, char **argv)
                       }),
                "append", appendsPerRep, "ns_per_journal_append");
         fsutil::removeFile(path);
+    }
+
+    // ---- Json and the job cache ----------------------------------------
+    // What a cached resubmit pays per job: build and dump its
+    // fingerprint manifest (here fig14's last job,
+    // SELECT/line#4/h1.00/f4), then read and parse its
+    // lsqca-jobcache-v1 document. The cache holds the real entries of
+    // fig14's first 21 jobs (shard 0/85), stored under --out by runSpec.
+    {
+        const api::SweepSpec fig14 = api::specs::fig14();
+        api::BenchmarkRegistry registry = api::BenchmarkRegistry::paper();
+        const api::ExpandedJob job = api::expandSpec(fig14, registry).back();
+        record("json/dump/job-manifest",
+               bestPerCall(bankReps,
+                           [&] {
+                               doNotOptimize(static_cast<std::int64_t>(
+                                   api::jobManifest(fig14, job, false)
+                                       .dump(0)
+                                       .size()));
+                           }),
+               "manifest", 1, "ns_per_manifest");
+
+        const std::string dir = args.outDir + "/jobcache_bench";
+        std::filesystem::remove_all(dir);
+        const service::ResultCache cache(dir);
+        service::JobCacheAdapter adapter(cache);
+        api::RunSpecOptions options;
+        options.threads = 1;
+        options.writeJson = false;
+        options.jobCache = &adapter;
+        options.shard = {0, 85};
+        const api::SpecRun run = api::runSpec(fig14, registry, options);
+        const std::vector<std::string> prints =
+            api::jobFingerprints(fig14, run.expanded, false);
+        const std::string text = fsutil::readFile(cache.jobPathFor(prints[0]));
+        record("json/parse/jobcache-entry",
+               bestPerCall(bankReps,
+                           [&] {
+                               doNotOptimize(static_cast<std::int64_t>(
+                                   Json::parse(text).size()));
+                           }),
+               "document", 1, "ns_per_parse");
+        record("cache/fetchJob/hit",
+               bestPerCall(bankReps,
+                           [&] {
+                               std::int64_t sink = 0;
+                               for (const std::string &print : prints)
+                                   sink += static_cast<std::int64_t>(
+                                       cache.fetchJob(print).size());
+                               doNotOptimize(sink);
+                           }),
+               "fetch", static_cast<std::int64_t>(prints.size()),
+               "ns_per_fetchJob");
+        std::filesystem::remove_all(dir);
     }
 
     // ---- report ---------------------------------------------------------

@@ -5,10 +5,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/error.h"
@@ -43,6 +42,19 @@ syncParentDir(const stdfs::path &target)
     ::close(fd);
 }
 
+/** Closes a file descriptor when it goes out of scope. */
+class FdCloser
+{
+  public:
+    explicit FdCloser(int fd) : fd_(fd) {}
+    ~FdCloser() { ::close(fd_); }
+    FdCloser(const FdCloser &) = delete;
+    FdCloser &operator=(const FdCloser &) = delete;
+
+  private:
+    int fd_;
+};
+
 } // namespace
 
 bool
@@ -70,15 +82,47 @@ makeDirs(const std::string &path)
                            ec.message());
 }
 
+std::optional<std::string>
+tryReadFile(const std::string &path)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return std::nullopt;
+    const FdCloser closer(fd);
+    // Size the buffer one byte past the file's length, so a regular
+    // file arrives in one read and the next returns 0 without a
+    // regrowth; reading on to end of file keeps a file that grows
+    // meanwhile (an appended journal) whole.
+    struct stat info {};
+    std::size_t capacity = 4096;
+    if (::fstat(fd, &info) == 0 && info.st_size > 0)
+        capacity = static_cast<std::size_t>(info.st_size) + 1;
+    std::string text(capacity, '\0');
+    std::size_t used = 0;
+    for (;;) {
+        if (used == text.size())
+            text.resize(2 * text.size());
+        const ::ssize_t n =
+            ::read(fd, text.data() + used, text.size() - used);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            LSQCA_REQUIRE(false, "error while reading " + path);
+        }
+        if (n == 0)
+            break;
+        used += static_cast<std::size_t>(n);
+    }
+    text.resize(used);
+    return text;
+}
+
 std::string
 readFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    LSQCA_REQUIRE(in.good(), "cannot read " + path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    LSQCA_REQUIRE(!in.bad(), "error while reading " + path);
-    return buffer.str();
+    std::optional<std::string> text = tryReadFile(path);
+    LSQCA_REQUIRE(text.has_value(), "cannot read " + path);
+    return std::move(*text);
 }
 
 void

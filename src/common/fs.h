@@ -11,6 +11,7 @@
  */
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,14 @@ bool isDirectory(const std::string &path);
 
 /** mkdir -p. @throws ConfigError on failure. */
 void makeDirs(const std::string &path);
+
+/**
+ * Whole-file read through open(2)/read(2): every file read goes
+ * through here. @return std::nullopt when @p path cannot be opened
+ * (absent, no permission), without throwing.
+ * @throws ConfigError when it opens but cannot be read (a directory).
+ */
+std::optional<std::string> tryReadFile(const std::string &path);
 
 /** Whole-file read. @throws ConfigError when unreadable. */
 std::string readFile(const std::string &path);

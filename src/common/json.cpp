@@ -2,38 +2,56 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "common/error.h"
+#include "common/fs.h"
 
 namespace lsqca {
+
+// Vectors of values and members grow by moving their elements.
+static_assert(std::is_nothrow_move_constructible_v<Json>);
+
 namespace {
+
+/** True for the bytes a JSON string must escape. */
+inline bool
+needsEscape(char c)
+{
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
 
 void
 appendEscaped(std::string &out, const std::string &s)
 {
     out += '"';
-    for (const char c : s) {
+    const char *run = s.data();
+    const char *const end = run + s.size();
+    for (const char *p = run; p != end; ++p) {
+        const char c = *p;
+        if (!needsEscape(c))
+            continue;
+        out.append(run, static_cast<std::size_t>(p - run));
+        run = p + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
           case '\n': out += "\\n"; break;
           case '\t': out += "\\t"; break;
           case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+          default: {
+            static constexpr char kHex[] = "0123456789abcdef";
+            const char escape[] = {'\\', 'u', '0', '0', kHex[(c >> 4) & 0xF],
+                                   kHex[c & 0xF]};
+            out.append(escape, sizeof escape);
+          }
         }
     }
+    out.append(run, static_cast<std::size_t>(end - run));
     out += '"';
 }
 
@@ -48,14 +66,27 @@ appendDouble(std::string &out, double v)
     const auto res =
         std::to_chars(buf, buf + sizeof buf, v,
                       std::chars_format::general, 17);
-    out.append(buf, res.ptr);
+    out.append(buf, static_cast<std::size_t>(res.ptr - buf));
 }
 
+void
+appendInt(std::string &out, std::int64_t v)
+{
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, static_cast<std::size_t>(res.ptr - buf));
+}
+
+} // namespace
+
 /** Recursive-descent parser over a string with line:column errors. */
-class Parser
+class Json::Parser
 {
   public:
-    explicit Parser(const std::string &text) : text_(text) {}
+    explicit Parser(const std::string &text)
+        : begin_(text.data()), end_(text.data() + text.size()), p_(begin_)
+    {
+    }
 
     Json
     document()
@@ -63,7 +94,7 @@ class Parser
         skipWs();
         Json value = parseValue();
         skipWs();
-        if (pos_ != text_.size())
+        if (p_ != end_)
             fail("trailing characters after JSON document");
         return value;
     }
@@ -73,8 +104,8 @@ class Parser
     fail(const std::string &msg) const
     {
         std::size_t line = 1, col = 1;
-        for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-            if (text_[i] == '\n') {
+        for (const char *q = begin_; q < p_ && q < end_; ++q) {
+            if (*q == '\n') {
                 ++line;
                 col = 1;
             } else {
@@ -85,65 +116,71 @@ class Parser
                           ":" + std::to_string(col) + ": " + msg);
     }
 
-    bool
-    atEnd() const
+    [[noreturn]] void
+    failAt(const char *where, const std::string &msg)
     {
-        return pos_ >= text_.size();
+        p_ = where;
+        fail(msg);
     }
 
     char
     peek() const
     {
-        if (atEnd())
+        if (p_ == end_)
             fail("unexpected end of input");
-        return text_[pos_];
+        return *p_;
     }
 
     char
     next()
     {
         const char c = peek();
-        ++pos_;
+        ++p_;
         return c;
     }
 
     void
     skipWs()
     {
-        while (!atEnd()) {
-            const char c = text_[pos_];
-            if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
-                ++pos_;
-            else
-                break;
-        }
+        while (p_ != end_ &&
+               (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r'))
+            ++p_;
     }
 
     void
     expect(char c)
     {
         if (peek() != c)
-            fail(std::string("expected '") + c + "', got '" + peek() +
-                 "'");
-        ++pos_;
+            fail(std::string("expected '") + c + "', got '" + *p_ + "'");
+        ++p_;
     }
 
     bool
     consumeWord(const char *word)
     {
         const std::size_t n = std::strlen(word);
-        if (text_.compare(pos_, n, word) != 0)
+        if (static_cast<std::size_t>(end_ - p_) < n ||
+            std::memcmp(p_, word, n) != 0)
             return false;
-        pos_ += n;
+        p_ += n;
         return true;
     }
 
     Json
     parseValue()
     {
-        switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+        const char c = peek();
+        if (c == '{' || c == '[') {
+            // Each level recurses once: bound the stack a document
+            // from outside can take.
+            if (++depth_ > kMaxDepth)
+                fail("objects and arrays nest deeper than " +
+                     std::to_string(kMaxDepth) + " levels");
+            Json value = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return value;
+        }
+        switch (c) {
           case '"': return Json(parseString());
           case 't':
             if (consumeWord("true"))
@@ -166,9 +203,10 @@ class Parser
     {
         expect('{');
         Json obj = Json::object();
+        Members &members = std::get<Members>(obj.value_);
         skipWs();
         if (peek() == '}') {
-            ++pos_;
+            ++p_;
             return obj;
         }
         for (;;) {
@@ -176,12 +214,13 @@ class Parser
             if (peek() != '"')
                 fail("expected object key string");
             std::string key = parseString();
-            if (obj.contains(key))
-                fail("duplicate object key \"" + key + "\"");
+            for (const auto &member : members)
+                if (member.first == key)
+                    fail("duplicate object key \"" + key + "\"");
             skipWs();
             expect(':');
             skipWs();
-            obj.set(key, parseValue());
+            members.emplace_back(std::move(key), parseValue());
             skipWs();
             const char c = next();
             if (c == '}')
@@ -196,14 +235,15 @@ class Parser
     {
         expect('[');
         Json arr = Json::array();
+        std::vector<Json> &items = std::get<std::vector<Json>>(arr.value_);
         skipWs();
         if (peek() == ']') {
-            ++pos_;
+            ++p_;
             return arr;
         }
         for (;;) {
             skipWs();
-            arr.push(parseValue());
+            items.push_back(parseValue());
             skipWs();
             const char c = next();
             if (c == ']')
@@ -219,15 +259,20 @@ class Parser
         expect('"');
         std::string out;
         for (;;) {
-            const char c = next();
-            if (c == '"')
+            // Append the run of bytes up to the next quote, backslash
+            // or control character in one step.
+            const char *run = p_;
+            while (p_ != end_ && !needsEscape(*p_))
+                ++p_;
+            out.append(run, static_cast<std::size_t>(p_ - run));
+            const char c = peek();
+            if (c == '"') {
+                ++p_;
                 return out;
-            if (static_cast<unsigned char>(c) < 0x20)
-                fail("unescaped control character in string");
-            if (c != '\\') {
-                out += c;
-                continue;
             }
+            if (c != '\\')
+                fail("unescaped control character in string");
+            ++p_;
             const char esc = next();
             switch (esc) {
               case '"': out += '"'; break;
@@ -272,64 +317,75 @@ class Parser
         }
     }
 
+    /** Skip a run of digits; false when there is none. */
+    bool
+    digits()
+    {
+        const char *const start = p_;
+        while (p_ != end_ && *p_ >= '0' && *p_ <= '9')
+            ++p_;
+        return p_ != start;
+    }
+
     Json
     parseNumber()
     {
-        const std::size_t start = pos_;
-        if (!atEnd() && peek() == '-')
-            ++pos_;
+        // RFC 8259: a digit on each side of '.' and after the
+        // exponent marker.
+        const char *const start = p_;
+        if (p_ != end_ && *p_ == '-')
+            ++p_;
+        const char *const intDigits = p_;
+        if (!digits())
+            failAt(start, "invalid number");
+        // No leading zeros ("01" is invalid JSON).
+        if (*intDigits == '0' && p_ - intDigits > 1)
+            failAt(start, "leading zeros are not allowed");
         bool integral = true;
-        while (!atEnd()) {
-            const char c = text_[pos_];
-            if (c >= '0' && c <= '9') {
-                ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
-                       c == '-') {
-                integral = false;
-                ++pos_;
-            } else {
-                break;
-            }
+        if (p_ != end_ && *p_ == '.') {
+            ++p_;
+            integral = false;
+            if (!digits())
+                failAt(start, "invalid number");
         }
-        if (pos_ == start || (pos_ == start + 1 && text_[start] == '-'))
-            fail("invalid number");
-        // RFC 8259: no leading zeros ("01" is invalid JSON).
-        const std::size_t digits =
-            text_[start] == '-' ? start + 1 : start;
-        if (digits + 1 < pos_ && text_[digits] == '0' &&
-            text_[digits + 1] >= '0' && text_[digits + 1] <= '9') {
-            pos_ = start;
-            fail("leading zeros are not allowed");
+        if (p_ != end_ && (*p_ == 'e' || *p_ == 'E')) {
+            ++p_;
+            integral = false;
+            if (p_ != end_ && (*p_ == '+' || *p_ == '-'))
+                ++p_;
+            if (!digits())
+                failAt(start, "invalid number");
         }
-        const char *first = text_.data() + start;
-        const char *last = text_.data() + pos_;
         if (integral) {
             std::int64_t value = 0;
-            const auto res = std::from_chars(first, last, value);
-            if (res.ec == std::errc() && res.ptr == last)
-                return Json(value);
+            const auto res = std::from_chars(start, p_, value);
+            // "-0" is how the Double -0.0 dumps: read it back as one,
+            // so its bytes round-trip.
+            if (res.ec == std::errc() && res.ptr == p_)
+                return value == 0 && *start == '-' ? Json(-0.0)
+                                                   : Json(value);
             // Fall through: out-of-range integers parse as doubles.
         }
         double value = 0.0;
-        const auto res = std::from_chars(first, last, value);
-        if (res.ec != std::errc() || res.ptr != last) {
-            pos_ = start;
-            fail("invalid number");
-        }
+        const auto res = std::from_chars(start, p_, value);
+        if (res.ec != std::errc() || res.ptr != p_)
+            failAt(start, "invalid number");
         return Json(value);
     }
 
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
+    static constexpr int kMaxDepth = 1000;
 
-} // namespace
+    const char *const begin_;
+    const char *const end_;
+    const char *p_;
+    int depth_ = 0;
+};
 
 Json
 Json::object()
 {
     Json j;
-    j.kind_ = Kind::Object;
+    j.value_.emplace<Members>();
     return j;
 }
 
@@ -337,16 +393,19 @@ Json
 Json::array()
 {
     Json j;
-    j.kind_ = Kind::Array;
+    j.value_.emplace<std::vector<Json>>();
     return j;
 }
 
-Json::Json(const char *s) : kind_(Kind::String), str_(s) {}
-Json::Json(std::string s) : kind_(Kind::String), str_(std::move(s)) {}
-Json::Json(double v) : kind_(Kind::Double), dbl_(v) {}
-Json::Json(std::int64_t v) : kind_(Kind::Int), int_(v) {}
-Json::Json(std::int32_t v) : kind_(Kind::Int), int_(v) {}
-Json::Json(bool v) : kind_(Kind::Bool), bool_(v) {}
+Json::Json(const char *s) : value_(std::in_place_type<std::string>, s) {}
+Json::Json(std::string s)
+    : value_(std::in_place_type<std::string>, std::move(s))
+{
+}
+Json::Json(double v) : value_(std::in_place_type<double>, v) {}
+Json::Json(std::int64_t v) : value_(std::in_place_type<std::int64_t>, v) {}
+Json::Json(std::int32_t v) : value_(std::in_place_type<std::int64_t>, v) {}
+Json::Json(bool v) : value_(std::in_place_type<bool>, v) {}
 
 Json
 Json::parse(const std::string &text)
@@ -357,12 +416,10 @@ Json::parse(const std::string &text)
 Json
 Json::load(const std::string &path)
 {
-    std::ifstream file(path);
-    LSQCA_REQUIRE(file.good(), "cannot open for reading: " + path);
-    std::ostringstream text;
-    text << file.rdbuf();
+    const std::optional<std::string> text = fsutil::tryReadFile(path);
+    LSQCA_REQUIRE(text.has_value(), "cannot open for reading: " + path);
     try {
-        return parse(text.str());
+        return parse(*text);
     } catch (const ConfigError &e) {
         throw ConfigError(path + ": " + e.what());
     }
@@ -371,30 +428,32 @@ Json::load(const std::string &path)
 const std::string &
 Json::asString() const
 {
-    LSQCA_REQUIRE(kind_ == Kind::String, "JSON value is not a string");
-    return str_;
+    const auto *s = std::get_if<std::string>(&value_);
+    LSQCA_REQUIRE(s != nullptr, "JSON value is not a string");
+    return *s;
 }
 
 bool
 Json::asBool() const
 {
-    LSQCA_REQUIRE(kind_ == Kind::Bool, "JSON value is not a bool");
-    return bool_;
+    const auto *b = std::get_if<bool>(&value_);
+    LSQCA_REQUIRE(b != nullptr, "JSON value is not a bool");
+    return *b;
 }
 
 std::int64_t
 Json::asInt() const
 {
-    if (kind_ == Kind::Int)
-        return int_;
-    if (kind_ == Kind::Double) {
+    if (const auto *i = std::get_if<std::int64_t>(&value_))
+        return *i;
+    if (const auto *d = std::get_if<double>(&value_)) {
         // Range-check before the cast: int64 conversion of an
         // out-of-range double is undefined behavior.
-        LSQCA_REQUIRE(dbl_ >= -9223372036854775808.0 &&
-                          dbl_ < 9223372036854775808.0,
+        LSQCA_REQUIRE(*d >= -9223372036854775808.0 &&
+                          *d < 9223372036854775808.0,
                       "JSON number is out of integer range");
-        const auto as_int = static_cast<std::int64_t>(dbl_);
-        LSQCA_REQUIRE(static_cast<double>(as_int) == dbl_,
+        const auto as_int = static_cast<std::int64_t>(*d);
+        LSQCA_REQUIRE(static_cast<double>(as_int) == *d,
                       "JSON number is not an integer");
         return as_int;
     }
@@ -404,31 +463,33 @@ Json::asInt() const
 double
 Json::asDouble() const
 {
-    if (kind_ == Kind::Int)
-        return static_cast<double>(int_);
-    LSQCA_REQUIRE(kind_ == Kind::Double, "JSON value is not a number");
-    return dbl_;
+    if (const auto *i = std::get_if<std::int64_t>(&value_))
+        return static_cast<double>(*i);
+    const auto *d = std::get_if<double>(&value_);
+    LSQCA_REQUIRE(d != nullptr, "JSON value is not a number");
+    return *d;
 }
 
 const std::vector<std::pair<std::string, Json>> &
 Json::members() const
 {
-    LSQCA_REQUIRE(kind_ == Kind::Object, "JSON value is not an object");
-    return members_;
+    const auto *members = std::get_if<Members>(&value_);
+    LSQCA_REQUIRE(members != nullptr, "JSON value is not an object");
+    return *members;
 }
 
 const std::vector<Json> &
 Json::items() const
 {
-    LSQCA_REQUIRE(kind_ == Kind::Array, "JSON value is not an array");
-    return items_;
+    const auto *items = std::get_if<std::vector<Json>>(&value_);
+    LSQCA_REQUIRE(items != nullptr, "JSON value is not an array");
+    return *items;
 }
 
 const Json *
 Json::find(const std::string &key) const
 {
-    LSQCA_REQUIRE(kind_ == Kind::Object, "JSON value is not an object");
-    for (const auto &member : members_)
+    for (const auto &member : members())
         if (member.first == key)
             return &member.second;
     return nullptr;
@@ -442,52 +503,55 @@ Json::at(const std::string &key) const
     return *value;
 }
 
+Json
+Json::take(const std::string &key)
+{
+    auto *members = std::get_if<Members>(&value_);
+    LSQCA_REQUIRE(members != nullptr, "JSON value is not an object");
+    for (auto &member : *members)
+        if (member.first == key)
+            return std::exchange(member.second, Json());
+    throw ConfigError("missing JSON key \"" + key + "\"");
+}
+
 std::size_t
 Json::size() const
 {
-    if (kind_ == Kind::Object)
-        return members_.size();
-    if (kind_ == Kind::Array)
-        return items_.size();
+    if (const auto *members = std::get_if<Members>(&value_))
+        return members->size();
+    if (const auto *items = std::get_if<std::vector<Json>>(&value_))
+        return items->size();
     return 0;
 }
 
 bool
 Json::operator==(const Json &other) const
 {
-    if (kind_ != other.kind_)
-        return false;
-    switch (kind_) {
-      case Kind::Null: return true;
-      case Kind::String: return str_ == other.str_;
-      case Kind::Double: return dbl_ == other.dbl_;
-      case Kind::Int: return int_ == other.int_;
-      case Kind::Bool: return bool_ == other.bool_;
-      case Kind::Object: return members_ == other.members_;
-      case Kind::Array: return items_ == other.items_;
-    }
-    return false;
+    // Kind first, then the payload: an Int never equals a Double.
+    return value_ == other.value_;
 }
 
 Json &
-Json::set(const std::string &key, Json value)
+Json::set(std::string key, Json value)
 {
-    LSQCA_REQUIRE(kind_ == Kind::Object, "Json::set on a non-object");
-    for (auto &member : members_) {
+    auto *members = std::get_if<Members>(&value_);
+    LSQCA_REQUIRE(members != nullptr, "Json::set on a non-object");
+    for (auto &member : *members) {
         if (member.first == key) {
             member.second = std::move(value);
             return *this;
         }
     }
-    members_.emplace_back(key, std::move(value));
+    members->emplace_back(std::move(key), std::move(value));
     return *this;
 }
 
 Json &
 Json::push(Json value)
 {
-    LSQCA_REQUIRE(kind_ == Kind::Array, "Json::push on a non-array");
-    items_.push_back(std::move(value));
+    auto *items = std::get_if<std::vector<Json>>(&value_);
+    LSQCA_REQUIRE(items != nullptr, "Json::push on a non-array");
+    items->push_back(std::move(value));
     return *this;
 }
 
@@ -500,24 +564,29 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out += '\n';
         out.append(static_cast<std::size_t>(indent * d), ' ');
     };
-    switch (kind_) {
+    switch (kind()) {
       case Kind::Null: out += "null"; break;
-      case Kind::String: appendEscaped(out, str_); break;
-      case Kind::Double: appendDouble(out, dbl_); break;
-      case Kind::Int: out += std::to_string(int_); break;
-      case Kind::Bool: out += bool_ ? "true" : "false"; break;
+      case Kind::String:
+        appendEscaped(out, std::get<std::string>(value_));
+        break;
+      case Kind::Double: appendDouble(out, std::get<double>(value_)); break;
+      case Kind::Int: appendInt(out, std::get<std::int64_t>(value_)); break;
+      case Kind::Bool:
+        out += std::get<bool>(value_) ? "true" : "false";
+        break;
       case Kind::Object: {
-        if (members_.empty()) {
+        const Members &members = std::get<Members>(value_);
+        if (members.empty()) {
             out += "{}";
             break;
         }
         out += '{';
-        for (std::size_t i = 0; i < members_.size(); ++i) {
+        for (std::size_t i = 0; i < members.size(); ++i) {
             newline(depth + 1);
-            appendEscaped(out, members_[i].first);
+            appendEscaped(out, members[i].first);
             out += indent > 0 ? ": " : ":";
-            members_[i].second.dumpTo(out, indent, depth + 1);
-            if (i + 1 < members_.size())
+            members[i].second.dumpTo(out, indent, depth + 1);
+            if (i + 1 < members.size())
                 out += ',';
         }
         newline(depth);
@@ -525,15 +594,16 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         break;
       }
       case Kind::Array: {
-        if (items_.empty()) {
+        const std::vector<Json> &items = std::get<std::vector<Json>>(value_);
+        if (items.empty()) {
             out += "[]";
             break;
         }
         out += '[';
-        for (std::size_t i = 0; i < items_.size(); ++i) {
+        for (std::size_t i = 0; i < items.size(); ++i) {
             newline(depth + 1);
-            items_[i].dumpTo(out, indent, depth + 1);
-            if (i + 1 < items_.size())
+            items[i].dumpTo(out, indent, depth + 1);
+            if (i + 1 < items.size())
                 out += ',';
         }
         newline(depth);

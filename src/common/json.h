@@ -10,13 +10,27 @@
  * precision to round-trip doubles. parse(dump(x)) == x for any x the
  * parser produced; for built documents the value round-trips but the
  * numeric kind may not (a whole-valued Double dumps as "5" and
- * reparses as Int, and non-finite doubles dump as null).
+ * reparses as Int, and non-finite doubles dump as null). Either way
+ * the bytes round-trip: parse(dump(x)).dump() == dump(x) at any
+ * indent, which is what lets a job-cache hit splice a parsed entry
+ * into a BENCH document byte for byte.
+ *
+ * Storage: a value holds exactly one payload, a std::variant of null,
+ * object (a vector of key/value pairs in insertion order), array,
+ * string, double, int64 and bool, so a number costs no string or
+ * vector (40 bytes per value, 72 per object member, on LP64).
+ *
+ * Number grammar (RFC 8259): an optional '-', then '0' or a nonzero
+ * digit followed by digits, then optionally '.' and at least one
+ * digit, then optionally 'e' or 'E', an optional sign and at least one
+ * digit. ".5", "1.", "1.e3", "01", "+1" and "1e" are rejected.
  */
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace lsqca {
@@ -40,25 +54,27 @@ class Json
 
     /**
      * Parse a JSON document (strict RFC-8259 subset: no comments, no
-     * trailing commas). @throws ConfigError with a line:column position
-     * on malformed input. Integers without fraction/exponent that fit
-     * an int64 parse as Int; everything else numeric parses as Double.
+     * trailing commas, objects and arrays nested at most 1,000 levels
+     * deep). @throws ConfigError with a line:column position on
+     * malformed input. Integers without fraction/exponent that fit
+     * an int64 parse as Int; everything else numeric parses as Double,
+     * and so does "-0" (the dump of the Double -0.0).
      */
     static Json parse(const std::string &text);
 
     /** parse() the contents of @p path. @throws ConfigError. */
     static Json load(const std::string &path);
 
-    bool isNull() const { return kind_ == Kind::Null; }
-    bool isObject() const { return kind_ == Kind::Object; }
-    bool isArray() const { return kind_ == Kind::Array; }
-    bool isString() const { return kind_ == Kind::String; }
-    bool isBool() const { return kind_ == Kind::Bool; }
-    bool isInt() const { return kind_ == Kind::Int; }
+    bool isNull() const { return kind() == Kind::Null; }
+    bool isObject() const { return kind() == Kind::Object; }
+    bool isArray() const { return kind() == Kind::Array; }
+    bool isString() const { return kind() == Kind::String; }
+    bool isBool() const { return kind() == Kind::Bool; }
+    bool isInt() const { return kind() == Kind::Int; }
     /** Int or Double. */
     bool isNumber() const
     {
-        return kind_ == Kind::Int || kind_ == Kind::Double;
+        return kind() == Kind::Int || kind() == Kind::Double;
     }
 
     /** String payload. @throws ConfigError when not a string. */
@@ -85,6 +101,12 @@ class Json
     /** Member access. @throws ConfigError when absent. */
     const Json &at(const std::string &key) const;
 
+    /**
+     * Move the value of member @p key out of this object, leaving null
+     * in its place. @throws ConfigError when absent or not an object.
+     */
+    Json take(const std::string &key);
+
     /** Object member count / array length / 0 for scalars. */
     std::size_t size() const;
 
@@ -93,7 +115,7 @@ class Json
     bool operator!=(const Json &other) const { return !(*this == other); }
 
     /** Set @p key on an object (insertion order preserved). */
-    Json &set(const std::string &key, Json value);
+    Json &set(std::string key, Json value);
 
     /** Append to an array. */
     Json &push(Json value);
@@ -105,6 +127,9 @@ class Json
     void write(const std::string &path, int indent = 2) const;
 
   private:
+    using Members = std::vector<std::pair<std::string, Json>>;
+
+    /** The variant's alternative index, one per kind. */
     enum class Kind : std::uint8_t
     {
         Null,
@@ -116,15 +141,15 @@ class Json
         Bool,
     };
 
+    class Parser;
+
+    Kind kind() const { return static_cast<Kind>(value_.index()); }
+
     void dumpTo(std::string &out, int indent, int depth) const;
 
-    Kind kind_ = Kind::Null;
-    std::string str_;
-    double dbl_ = 0.0;
-    std::int64_t int_ = 0;
-    bool bool_ = false;
-    std::vector<std::pair<std::string, Json>> members_;
-    std::vector<Json> items_;
+    std::variant<std::monostate, Members, std::vector<Json>, std::string,
+                 double, std::int64_t, bool>
+        value_;
 };
 
 } // namespace lsqca

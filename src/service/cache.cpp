@@ -70,22 +70,28 @@ ResultCache::containsJob(const std::string &fingerprint) const
 Json
 ResultCache::fetchJob(const std::string &fingerprint) const
 {
-    if (!containsJob(fingerprint))
+    if (!enabled())
         return Json();
-    // Validation doubles as corruption tolerance: with fsync'd atomic
-    // publishes a torn file should be impossible, but a shared cache
-    // directory can hold foreign bytes — treat anything that is not a
-    // well-formed lsqca-jobcache-v1 wrapper as a miss rather than
-    // failing the campaign.
+    // Outside the try: a malformed fingerprint is the caller's error,
+    // not a miss.
+    const std::string path = jobPathFor(fingerprint);
+    // One read and one parse. Validation doubles as corruption
+    // tolerance: with fsync'd atomic publishes a torn file should be
+    // impossible, but a shared cache directory can hold foreign bytes
+    // — treat anything that is not a well-formed lsqca-jobcache-v1
+    // wrapper as a miss rather than failing the campaign.
     try {
-        const Json doc = Json::load(jobPathFor(fingerprint));
+        const std::optional<std::string> text = fsutil::tryReadFile(path);
+        if (!text)
+            return Json(); // absent: the common miss, without a throw
+        Json doc = Json::parse(*text);
         if (!doc.isObject() || !doc.contains("schema") ||
             !doc.contains("fingerprint") || !doc.contains("entry"))
             return Json();
         if (doc.at("schema").asString() != "lsqca-jobcache-v1" ||
             doc.at("fingerprint").asString() != fingerprint)
             return Json();
-        return doc.at("entry");
+        return doc.take("entry");
     } catch (...) {
         return Json();
     }

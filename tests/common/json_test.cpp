@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.h"
 #include "common/json.h"
@@ -90,9 +91,88 @@ TEST(JsonParse, RejectsMalformedInput)
          {"", "{", "[1,", "{\"a\" 1}", "{\"a\": }", "tru", "01x",
           "\"unterminated", "[1] trailing", "{\"a\":1,}", "[1,,2]",
           "nan", "--1", "{\"a\":1 \"b\":2}", "\"bad\\q\"", "01",
-          "-012"}) {
+          "-012", ".5", "-.5", "1.", "1.e3", "[1.]", "{\"a\":.5}", "1e",
+          "1e+", "-", "+1", "1.5e", "0x10", "1e5.5", "2-1"}) {
         EXPECT_THROW(Json::parse(bad), ConfigError) << bad;
     }
+}
+
+TEST(JsonDump, GoldenBytes)
+{
+    // One document with every kind: the bytes every BENCH file, spec
+    // dump and job fingerprint stand on.
+    Json doc = Json::object();
+    Json nested = Json::object();
+    nested.set("object", Json::object());
+    Json arr = Json::array();
+    arr.push(Json::array());
+    arr.push(Json::object());
+    nested.set("array", std::move(arr));
+    doc.set("empty", std::move(nested));
+    doc.set("int_min", std::numeric_limits<std::int64_t>::min());
+    doc.set("int_max", std::numeric_limits<std::int64_t>::max());
+    Json doubles = Json::array();
+    for (const double v : {0.1, 1.0 / 3.0, 1e-300, 1e300, 5.0, -0.0,
+                           std::numeric_limits<double>::quiet_NaN()})
+        doubles.push(v);
+    doc.set("doubles", std::move(doubles));
+    doc.set("text", "q\" b\\ n\n t\t r\r c\x01 \xc3\xa9\xe2\x88\x91");
+    Json scalars = Json::array();
+    scalars.push(Json());
+    scalars.push(true);
+    scalars.push(false);
+    scalars.push(std::int32_t{-7});
+    doc.set("scalars", std::move(scalars));
+
+    EXPECT_EQ(doc.dump(0),
+              R"({"empty":{"object":{},"array":[[],{}]},)"
+              R"("int_min":-9223372036854775808,)"
+              R"("int_max":9223372036854775807,)"
+              R"("doubles":[0.10000000000000001,0.33333333333333331,)"
+              R"(1e-300,1.0000000000000001e+300,5,-0,null],)"
+              R"("text":"q\" b\\ n\n t\t r\r c\u0001 )"
+              "\xc3\xa9\xe2\x88\x91"
+              R"(","scalars":[null,true,false,-7]})");
+    EXPECT_EQ(doc.dump(2),
+              "{\n"
+              "  \"empty\": {\n"
+              "    \"object\": {},\n"
+              "    \"array\": [\n"
+              "      [],\n"
+              "      {}\n"
+              "    ]\n"
+              "  },\n"
+              "  \"int_min\": -9223372036854775808,\n"
+              "  \"int_max\": 9223372036854775807,\n"
+              "  \"doubles\": [\n"
+              "    0.10000000000000001,\n"
+              "    0.33333333333333331,\n"
+              "    1e-300,\n"
+              "    1.0000000000000001e+300,\n"
+              "    5,\n"
+              "    -0,\n"
+              "    null\n"
+              "  ],\n"
+              "  \"text\": \"q\\\" b\\\\ n\\n t\\t r\\r c\\u0001 "
+              "\xc3\xa9\xe2\x88\x91\",\n"
+              "  \"scalars\": [\n"
+              "    null,\n"
+              "    true,\n"
+              "    false,\n"
+              "    -7\n"
+              "  ]\n"
+              "}\n");
+}
+
+TEST(JsonParse, BoundsNestingDepth)
+{
+    const auto nested = [](int levels) {
+        return std::string(static_cast<std::size_t>(levels), '[') +
+               std::string(static_cast<std::size_t>(levels), ']');
+    };
+    EXPECT_EQ(Json::parse(nested(1000)).size(), 1u);
+    // Deep enough to overflow the stack of a parser without a bound.
+    EXPECT_THROW(Json::parse(nested(200000)), ConfigError);
 }
 
 TEST(JsonParse, RejectsDuplicateKeys)

@@ -5,6 +5,8 @@
 #include <set>
 #include <string>
 
+#include "common/json.h"
+
 namespace lsqca {
 namespace {
 
@@ -67,6 +69,11 @@ TEST(OpcodeInfo, OperandArities)
 // Long sweeps keep millions of instructions resident (fig15 --full's
 // five programs hold 8.7M); the record must not pad back out.
 static_assert(sizeof(Instruction) == 16);
+
+// A job-cache resubmit parses every cached entry and every BENCH
+// document holds thousands of numbers: a Json value holds one payload
+// (112 bytes when each kind had its own field).
+static_assert(sizeof(Json) <= 48);
 
 TEST(Instruction, LoadStoreRendering)
 {

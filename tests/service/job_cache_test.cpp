@@ -17,8 +17,10 @@
 #include <vector>
 
 #include "api/job_cache.h"
+#include "api/paper_specs.h"
 #include "api/registry.h"
 #include "api/spec.h"
+#include "common/error.h"
 #include "common/fs.h"
 #include "common/hash.h"
 #include "service/cache.h"
@@ -139,6 +141,36 @@ TEST(JobFingerprints, AreStablePartitionAndSweepNameInvariant)
     EXPECT_NE(api::jobFingerprints(spec, jobs, false), prints);
 }
 
+/** The fingerprint of the job named @p name in @p spec's expansion. */
+std::string
+fingerprintOf(const SweepSpec &spec, const std::string &name,
+              bool noTiming)
+{
+    const BenchmarkRegistry registry = BenchmarkRegistry::paper();
+    for (const api::ExpandedJob &job : api::expandSpec(spec, registry))
+        if (job.name == name)
+            return api::jobFingerprint(spec, job, noTiming);
+    ADD_FAILURE() << "no job named " << name << " in " << spec.name;
+    return "";
+}
+
+TEST(JobFingerprints, MatchRecordedValues)
+{
+    // Recorded from earlier builds: a change to the manifest bytes (the
+    // Json dumper, number formatting, key order) would orphan every
+    // job cache on disk, so these must never move by accident.
+    const SweepSpec smoke = SweepSpec::load(test::kSmokeSpec);
+    EXPECT_EQ(fingerprintOf(smoke, "adder/point#1/f1", true),
+              "605ba21cedbd16cf");
+    EXPECT_EQ(fingerprintOf(smoke, "adder/point#1/f1", false),
+              "bd05b12233db9b96");
+    const SweepSpec fig14 = api::specs::fig14();
+    EXPECT_EQ(fingerprintOf(fig14, "adder/conventional/f1", true),
+              "baa96c4c5c2647d1");
+    EXPECT_EQ(fingerprintOf(fig14, "SELECT/line#4/h1.00/f4", true),
+              "67af3f7af724710b");
+}
+
 TEST(RunSpec, JobCacheSplicesByteIdenticallyAndHealsDroppedEntries)
 {
     const std::string dir = test::scratchDir("splice");
@@ -215,6 +247,16 @@ TEST(ResultCache, JobStoreRoundTripsAndTreatsForeignBytesAsMisses)
     fsutil::writeFileAtomic(cache.jobPathFor(mislabeled),
                             fsutil::readFile(cache.jobPathFor(print)));
     EXPECT_TRUE(cache.fetchJob(mislabeled).isNull());
+    // A directory or an empty file where an entry belongs: a miss too.
+    const std::string dirAtEntry = "33cc33cc33cc33cc";
+    fsutil::makeDirs(cache.jobPathFor(dirAtEntry));
+    EXPECT_TRUE(cache.fetchJob(dirAtEntry).isNull());
+    const std::string empty = "44bb44bb44bb44bb";
+    fsutil::writeFileAtomic(cache.jobPathFor(empty), "");
+    EXPECT_TRUE(cache.fetchJob(empty).isNull());
+    // A malformed fingerprint is the caller's error, not a miss: it
+    // must never name a path outside the cache.
+    EXPECT_THROW(cache.fetchJob("../x"), ConfigError);
 
     // A disabled cache misses and stores nothing, silently.
     const ResultCache disabled{""};
