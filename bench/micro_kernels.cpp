@@ -463,15 +463,29 @@ main(int argc, char **argv)
     }
 
     // ---- Json and the job cache ----------------------------------------
-    // What a cached resubmit pays per job: build and dump its
-    // fingerprint manifest (here fig14's last job,
+    // What a cached resubmit pays per job: its fingerprint (over all of
+    // fig14), the manifest a store records (here fig14's last job,
     // SELECT/line#4/h1.00/f4), then read and parse its
     // lsqca-jobcache-v1 document. The cache holds the real entries of
     // fig14's first 21 jobs (shard 0/85), stored under --out by runSpec.
     {
         const api::SweepSpec fig14 = api::specs::fig14();
         api::BenchmarkRegistry registry = api::BenchmarkRegistry::paper();
-        const api::ExpandedJob job = api::expandSpec(fig14, registry).back();
+        const std::vector<api::ExpandedJob> fig14Jobs =
+            api::expandSpec(fig14, registry);
+        const api::ExpandedJob &job = fig14Jobs.back();
+        // The fingerprints runSpec takes with a job cache attached:
+        // every one of fig14's 1,785 jobs, in ns per job.
+        record("api/jobFingerprints/fig14",
+               bestPerCall(bankReps,
+                           [&] {
+                               doNotOptimize(static_cast<std::int64_t>(
+                                   api::jobFingerprints(fig14, fig14Jobs,
+                                                        false)
+                                       .size()));
+                           }),
+               "job", static_cast<std::int64_t>(fig14Jobs.size()),
+               "ns_per_job");
         record("json/dump/job-manifest",
                bestPerCall(bankReps,
                            [&] {

@@ -8,23 +8,113 @@
 
 namespace lsqca::api {
 
+namespace {
+
+// The one field list of each options struct, in document order:
+// toJson() builds a tree from it and writeJson() streams the same
+// bytes (the job fingerprint), so the two cannot drift apart. A nested
+// options struct reaches the emitter as itself.
+
+template <class Emit>
+void
+fields(const Latencies &lat, Emit &&emit)
+{
+    emit("hadamard", lat.hadamard);
+    emit("phase", lat.phase);
+    emit("surgery", lat.surgery);
+    emit("move", lat.move);
+    emit("long_move", lat.longMove);
+    emit("pick_diagonal1", lat.pickDiagonal1);
+    emit("pick_straight1", lat.pickStraight1);
+    emit("pick_diagonal2", lat.pickDiagonal2);
+    emit("pick_straight2", lat.pickStraight2);
+    emit("msf_period", lat.msfPeriod);
+    emit("magic_transfer", lat.magicTransfer);
+    emit("sk_wait", lat.skWait);
+}
+
+template <class Emit>
+void
+fields(const ArchConfig &cfg, Emit &&emit)
+{
+    emit("sam", samKindName(cfg.sam));
+    emit("banks", cfg.banks);
+    emit("factories", cfg.factories);
+    emit("buffer_cap", cfg.bufferCap);
+    emit("hybrid_fraction", cfg.hybridFraction);
+    emit("locality_store", cfg.localityStore);
+    emit("in_memory_ops", cfg.inMemoryOps);
+    emit("row_parallel_ops", cfg.rowParallelOps);
+    emit("direct_surgery", cfg.directSurgery);
+    emit("placement", placementPolicyName(cfg.placement));
+    emit("instant_magic", cfg.instantMagic);
+    emit("warm_buffer", cfg.warmBuffer);
+    emit("latencies", cfg.lat);
+}
+
+template <class Emit>
+void
+fields(const estimate::EstimatorOptions &options, Emit &&emit)
+{
+    emit("mode", estimate::estimatorModeName(options.mode));
+    emit("unit_instrs", options.unitInstrs);
+    emit("warmup_instrs", options.warmupInstrs);
+    emit("period", options.period);
+    emit("target_ci", options.targetCi);
+}
+
+template <class Emit>
+void
+fields(const SimOptions &options, Emit &&emit)
+{
+    emit("arch", options.arch);
+    emit("max_instructions", options.maxInstructions);
+    emit("record_breakdown", options.recordBreakdown);
+    // Omitted when exact, so exact-mode documents — and everything
+    // fingerprinted from them (shard manifests, cache keys) — never
+    // depend on the estimator's defaults.
+    if (options.estimator.mode != estimate::EstimatorMode::Exact)
+        emit("estimator", options.estimator);
+}
+
+template <class Emit>
+void
+fields(const TranslateOptions &options, Emit &&emit)
+{
+    emit("in_memory_ops", options.inMemoryOps);
+    emit("cr_slots", options.crSlots);
+}
+
+template <class T>
+Json
+buildFields(const T &x)
+{
+    Json doc = Json::object();
+    fields(x, JsonFields{doc});
+    return doc;
+}
+
+template <class T>
+void
+streamFields(JsonWriter &out, const T &x)
+{
+    out.beginObject();
+    fields(x, StreamFields{out});
+    out.endObject();
+}
+
+} // namespace
+
 Json
 toJson(const Latencies &lat)
 {
-    Json doc = Json::object();
-    doc.set("hadamard", lat.hadamard);
-    doc.set("phase", lat.phase);
-    doc.set("surgery", lat.surgery);
-    doc.set("move", lat.move);
-    doc.set("long_move", lat.longMove);
-    doc.set("pick_diagonal1", lat.pickDiagonal1);
-    doc.set("pick_straight1", lat.pickStraight1);
-    doc.set("pick_diagonal2", lat.pickDiagonal2);
-    doc.set("pick_straight2", lat.pickStraight2);
-    doc.set("msf_period", lat.msfPeriod);
-    doc.set("magic_transfer", lat.magicTransfer);
-    doc.set("sk_wait", lat.skWait);
-    return doc;
+    return buildFields(lat);
+}
+
+void
+writeJson(JsonWriter &out, const Latencies &lat)
+{
+    streamFields(out, lat);
 }
 
 void
@@ -61,21 +151,13 @@ latenciesFromJson(const Json &doc)
 Json
 toJson(const ArchConfig &cfg)
 {
-    Json doc = Json::object();
-    doc.set("sam", samKindName(cfg.sam));
-    doc.set("banks", cfg.banks);
-    doc.set("factories", cfg.factories);
-    doc.set("buffer_cap", cfg.bufferCap);
-    doc.set("hybrid_fraction", cfg.hybridFraction);
-    doc.set("locality_store", cfg.localityStore);
-    doc.set("in_memory_ops", cfg.inMemoryOps);
-    doc.set("row_parallel_ops", cfg.rowParallelOps);
-    doc.set("direct_surgery", cfg.directSurgery);
-    doc.set("placement", placementPolicyName(cfg.placement));
-    doc.set("instant_magic", cfg.instantMagic);
-    doc.set("warm_buffer", cfg.warmBuffer);
-    doc.set("latencies", toJson(cfg.lat));
-    return doc;
+    return buildFields(cfg);
+}
+
+void
+writeJson(JsonWriter &out, const ArchConfig &cfg)
+{
+    streamFields(out, cfg);
 }
 
 void
@@ -119,13 +201,13 @@ archConfigFromJson(const Json &doc)
 Json
 toJson(const estimate::EstimatorOptions &options)
 {
-    Json doc = Json::object();
-    doc.set("mode", estimate::estimatorModeName(options.mode));
-    doc.set("unit_instrs", options.unitInstrs);
-    doc.set("warmup_instrs", options.warmupInstrs);
-    doc.set("period", options.period);
-    doc.set("target_ci", options.targetCi);
-    return doc;
+    return buildFields(options);
+}
+
+void
+writeJson(JsonWriter &out, const estimate::EstimatorOptions &options)
+{
+    streamFields(out, options);
 }
 
 estimate::EstimatorOptions
@@ -150,16 +232,13 @@ estimatorOptionsFromJson(const Json &doc)
 Json
 toJson(const SimOptions &options)
 {
-    Json doc = Json::object();
-    doc.set("arch", toJson(options.arch));
-    doc.set("max_instructions", options.maxInstructions);
-    doc.set("record_breakdown", options.recordBreakdown);
-    // Omitted when exact, so exact-mode documents — and everything
-    // fingerprinted from them (shard manifests, cache keys) — never
-    // depend on the estimator's defaults.
-    if (options.estimator.mode != estimate::EstimatorMode::Exact)
-        doc.set("estimator", toJson(options.estimator));
-    return doc;
+    return buildFields(options);
+}
+
+void
+writeJson(JsonWriter &out, const SimOptions &options)
+{
+    streamFields(out, options);
 }
 
 SimOptions
@@ -255,10 +334,13 @@ breakdownFromJson(const Json &doc)
 Json
 toJson(const TranslateOptions &options)
 {
-    Json doc = Json::object();
-    doc.set("in_memory_ops", options.inMemoryOps);
-    doc.set("cr_slots", options.crSlots);
-    return doc;
+    return buildFields(options);
+}
+
+void
+writeJson(JsonWriter &out, const TranslateOptions &options)
+{
+    streamFields(out, options);
 }
 
 void

@@ -13,7 +13,15 @@
  * Round-trip guarantees (pinned by tests/api/serialize_test.cpp):
  *   fromJson(toJson(x)) == x           for every field,
  *   fromJson(toJson(cfg)).label() == cfg.label().
+ *
+ * Each options struct (Latencies, ArchConfig, EstimatorOptions,
+ * SimOptions, TranslateOptions) has one field list in serialize.cpp.
+ * toJson() builds a tree from it and writeJson() streams the bytes of
+ * toJson(x).dump(0) from it without building one; the job fingerprint
+ * hashes the streamed bytes.
  */
+
+#include <type_traits>
 
 #include "arch/config.h"
 #include "common/json.h"
@@ -24,6 +32,9 @@ namespace lsqca::api {
 
 /** Full Latencies object, every field present. */
 Json toJson(const Latencies &lat);
+
+/** toJson(lat).dump(0), streamed through @p out. */
+void writeJson(JsonWriter &out, const Latencies &lat);
 
 /**
  * Merge a (possibly partial) latencies object into @p lat. Unknown
@@ -36,6 +47,9 @@ Latencies latenciesFromJson(const Json &doc);
 
 /** Full ArchConfig object, every field present (nested latencies). */
 Json toJson(const ArchConfig &cfg);
+
+/** toJson(cfg).dump(0), streamed through @p out. */
+void writeJson(JsonWriter &out, const ArchConfig &cfg);
 
 /**
  * Merge a partial ArchConfig object into @p cfg without validating
@@ -57,6 +71,9 @@ ArchConfig archConfigFromJson(const Json &doc);
  */
 Json toJson(const estimate::EstimatorOptions &options);
 
+/** toJson(options).dump(0), streamed through @p out. */
+void writeJson(JsonWriter &out, const estimate::EstimatorOptions &options);
+
 /** Strict deserialization; the result is validate()d. */
 estimate::EstimatorOptions estimatorOptionsFromJson(const Json &doc);
 
@@ -69,6 +86,9 @@ estimate::EstimatorOptions estimatorOptionsFromJson(const Json &doc);
  * deserialized options object always has an empty observer list.
  */
 Json toJson(const SimOptions &options);
+
+/** toJson(options).dump(0), streamed through @p out. */
+void writeJson(JsonWriter &out, const SimOptions &options);
 
 /** Strict deserialization; the embedded arch is validated. */
 SimOptions simOptionsFromJson(const Json &doc);
@@ -92,11 +112,52 @@ std::vector<OpcodeSplit> breakdownFromJson(const Json &doc);
 /** Translate options: in_memory_ops + cr_slots. */
 Json toJson(const TranslateOptions &options);
 
+/** toJson(options).dump(0), streamed through @p out. */
+void writeJson(JsonWriter &out, const TranslateOptions &options);
+
 /** Merge a partial translate-options object (strict). */
 void applyTranslatePatch(TranslateOptions &options, const Json &patch);
 
 /** Strict deserialization (missing keys keep defaults). */
 TranslateOptions translateOptionsFromJson(const Json &doc);
+
+/**
+ * The two emitters a field list is walked with: fields(x, emit) calls
+ * emit(key, value) once per field in document order. A scalar, string
+ * or Json value is stored as it is; anything else is an options struct
+ * and nests through its toJson() or writeJson().
+ */
+struct JsonFields
+{
+    Json &doc;
+
+    template <class T>
+    void
+    operator()(const char *key, const T &value) const
+    {
+        if constexpr (std::is_constructible_v<Json, const T &>)
+            doc.set(key, Json(value));
+        else
+            doc.set(key, toJson(value));
+    }
+};
+
+/** The streaming emitter; see JsonFields. */
+struct StreamFields
+{
+    JsonWriter &out;
+
+    template <class T>
+    void
+    operator()(const char *key, const T &value) const
+    {
+        out.key(key);
+        if constexpr (std::is_constructible_v<Json, const T &>)
+            out.value(value);
+        else
+            writeJson(out, value);
+    }
+};
 
 } // namespace lsqca::api
 

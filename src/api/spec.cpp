@@ -154,7 +154,7 @@ std::string
 renderName(const std::string &nameTemplate,
            const std::vector<SweepAxis> &axes,
            const std::vector<std::string> &fragments,
-           const std::string &archLabel)
+           const ArchConfig &cfg)
 {
     if (nameTemplate.empty()) {
         std::string name;
@@ -182,7 +182,9 @@ renderName(const std::string &nameTemplate,
         const std::string placeholder =
             nameTemplate.substr(i + 1, close - i - 1);
         if (placeholder == "arch") {
-            name += archLabel;
+            // Only here: label() formats through a stream, and most
+            // templates never ask for it.
+            name += cfg.label();
         } else {
             bool found = false;
             for (std::size_t a = 0; a < axes.size(); ++a) {
@@ -444,8 +446,7 @@ expandSpec(const SweepSpec &spec, const BenchmarkRegistry &registry)
         job.options.maxInstructions = prefix;
         job.options.recordBreakdown = spec.recordBreakdown;
         job.options.estimator = spec.estimator;
-        job.name = renderName(spec.nameTemplate, spec.axes, fragments,
-                              cfg.label());
+        job.name = renderName(spec.nameTemplate, spec.axes, fragments, cfg);
         jobs.push_back(std::move(job));
 
         // Odometer: last axis spins fastest (first axis outermost).
@@ -523,28 +524,67 @@ shardFingerprints(const SweepSpec &spec,
     return fingerprints;
 }
 
+namespace {
+
+/**
+ * The job manifest's field list, walked with the emitters of
+ * api/serialize.h: jobManifest() builds it and jobFingerprints()
+ * streams it, so a fingerprint hashes jobManifest(...).dump(0) byte
+ * for byte.
+ */
+template <class Emit>
+void
+jobManifestFields(const SweepSpec &spec, const ExpandedJob &job,
+                  bool noTiming, Emit &&emit)
+{
+    emit("schema", "lsqca-job-v1");
+    // The schema the entry's document will carry: a spec that turns
+    // breakdowns on (v2) must miss against cached v1 entries.
+    emit("bench_schema", benchSchemaFor(spec));
+    emit("engine_epoch", kEngineEpoch);
+    emit("no_timing", noTiming);
+    emit("name", job.name);
+    emit("bench", job.bench);
+    emit("params", job.params);
+    emit("translate", job.translate);
+    emit("options", job.options);
+}
+
+/** jobFingerprint(), streaming the manifest through @p scratch. */
+std::string
+streamedFingerprint(const SweepSpec &spec, const ExpandedJob &job,
+                    bool noTiming, std::string &scratch)
+{
+    scratch.clear();
+    JsonWriter out(scratch);
+    writeJobManifest(out, spec, job, noTiming);
+    return contentFingerprint(scratch);
+}
+
+} // namespace
+
+void
+writeJobManifest(JsonWriter &out, const SweepSpec &spec,
+                 const ExpandedJob &job, bool noTiming)
+{
+    out.beginObject();
+    jobManifestFields(spec, job, noTiming, StreamFields{out});
+    out.endObject();
+}
+
 Json
 jobManifest(const SweepSpec &spec, const ExpandedJob &job, bool noTiming)
 {
     Json manifest = Json::object();
-    manifest.set("schema", "lsqca-job-v1");
-    // The schema the entry's document will carry: a spec that turns
-    // breakdowns on (v2) must miss against cached v1 entries.
-    manifest.set("bench_schema", benchSchemaFor(spec));
-    manifest.set("engine_epoch", kEngineEpoch);
-    manifest.set("no_timing", noTiming);
-    manifest.set("name", job.name);
-    manifest.set("bench", job.bench);
-    manifest.set("params", job.params);
-    manifest.set("translate", toJson(job.translate));
-    manifest.set("options", toJson(job.options));
+    jobManifestFields(spec, job, noTiming, JsonFields{manifest});
     return manifest;
 }
 
 std::string
 jobFingerprint(const SweepSpec &spec, const ExpandedJob &job, bool noTiming)
 {
-    return contentFingerprint(jobManifest(spec, job, noTiming).dump(0));
+    std::string scratch;
+    return streamedFingerprint(spec, job, noTiming, scratch);
 }
 
 std::vector<std::string>
@@ -553,8 +593,10 @@ jobFingerprints(const SweepSpec &spec, const std::vector<ExpandedJob> &jobs,
 {
     std::vector<std::string> fingerprints;
     fingerprints.reserve(jobs.size());
+    std::string scratch;
     for (const ExpandedJob &job : jobs)
-        fingerprints.push_back(jobFingerprint(spec, job, noTiming));
+        fingerprints.push_back(
+            streamedFingerprint(spec, job, noTiming, scratch));
     return fingerprints;
 }
 
@@ -648,9 +690,7 @@ runSpec(const SweepSpec &spec, BenchmarkRegistry &registry,
     std::vector<Json> cachedEntries(sliceSize);
     std::vector<std::size_t> stale;
     if (options.jobCache != nullptr) {
-        prints.reserve(sliceSize);
-        for (const ExpandedJob &job : run.expanded)
-            prints.push_back(jobFingerprint(spec, job, options.noTiming));
+        prints = jobFingerprints(spec, run.expanded, options.noTiming);
         for (std::size_t i = 0; i < sliceSize; ++i) {
             cachedEntries[i] = options.jobCache->fetchEntry(prints[i]);
             if (cachedEntries[i].isNull())

@@ -215,11 +215,26 @@ shardFingerprints(const SweepSpec &spec,
 Json jobManifest(const SweepSpec &spec, const ExpandedJob &job,
                  bool noTiming);
 
-/** contentFingerprint() of jobManifest().dump(0): the job-cache key. */
+/**
+ * jobManifest(spec, job, noTiming).dump(0), streamed through @p out
+ * without building the manifest.
+ */
+void writeJobManifest(JsonWriter &out, const SweepSpec &spec,
+                      const ExpandedJob &job, bool noTiming);
+
+/**
+ * contentFingerprint() of jobManifest().dump(0): the job-cache key.
+ * The manifest's bytes are streamed into the hash from the same field
+ * lists jobManifest() and toJson() walk (api/serialize.h), so no Json
+ * tree is built; the fingerprint is unchanged.
+ */
 std::string jobFingerprint(const SweepSpec &spec, const ExpandedJob &job,
                            bool noTiming);
 
-/** jobFingerprint() for every job, aligned with @p jobs. */
+/**
+ * jobFingerprint() for every job, aligned with @p jobs, streaming
+ * every manifest through one reused buffer. runSpec calls this.
+ */
 std::vector<std::string>
 jobFingerprints(const SweepSpec &spec, const std::vector<ExpandedJob> &jobs,
                 bool noTiming);

@@ -125,8 +125,16 @@ readFile(const std::string &path)
     return std::move(*text);
 }
 
+namespace {
+
+/**
+ * Stage @p content in a uniquely named temp sibling of @p path and
+ * rename it over @p path; with @p durable, fsync the bytes before the
+ * rename and the directory after it.
+ */
 void
-writeFileAtomic(const std::string &path, const std::string &content)
+publishFile(const std::string &path, const std::string &content,
+            bool durable)
 {
     const stdfs::path target(path);
     if (target.has_parent_path()) {
@@ -160,13 +168,15 @@ writeFileAtomic(const std::string &path, const std::string &content)
     // Durability half of "atomic": the bytes must be on stable storage
     // BEFORE rename() publishes the name, or a crash shortly after the
     // rename can leave an *empty* file at the final path — exactly the
-    // torn queue.json/cache entry this function exists to prevent.
-    if (::fsync(fd) != 0) {
-        ::close(fd);
-        removeFile(tmp);
-        LSQCA_REQUIRE(false, "cannot fsync " + tmp);
+    // torn queue.json/cache entry writeFileAtomic exists to prevent.
+    if (durable) {
+        if (::fsync(fd) != 0) {
+            ::close(fd);
+            removeFile(tmp);
+            LSQCA_REQUIRE(false, "cannot fsync " + tmp);
+        }
+        gAtomicFsyncs.fetch_add(1, std::memory_order_relaxed);
     }
-    gAtomicFsyncs.fetch_add(1, std::memory_order_relaxed);
     if (::close(fd) != 0) {
         removeFile(tmp);
         LSQCA_REQUIRE(false, "error while writing " + tmp);
@@ -178,8 +188,24 @@ writeFileAtomic(const std::string &path, const std::string &content)
         LSQCA_REQUIRE(false, "cannot rename " + tmp + " -> " + path +
                                  ": " + ec.message());
     }
-    syncParentDir(target);
-    gAtomicWrites.fetch_add(1, std::memory_order_relaxed);
+    if (durable) {
+        syncParentDir(target);
+        gAtomicWrites.fetch_add(1, std::memory_order_relaxed);
+    }
+}
+
+} // namespace
+
+void
+writeFileAtomic(const std::string &path, const std::string &content)
+{
+    publishFile(path, content, true);
+}
+
+void
+replaceFile(const std::string &path, const std::string &content)
+{
+    publishFile(path, content, false);
 }
 
 AtomicWriteStats

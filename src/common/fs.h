@@ -50,6 +50,15 @@ std::string readFile(const std::string &path);
 void writeFileAtomic(const std::string &path, const std::string &content);
 
 /**
+ * writeFileAtomic() without the fsyncs: the bytes land in the same
+ * uniquely named temp sibling and rename() replaces @p path, so a
+ * reader or a killed writer never sees a torn or truncated file, but
+ * the new version may not survive a crash of the machine. For
+ * documents a run can rewrite (BENCH output). @throws ConfigError.
+ */
+void replaceFile(const std::string &path, const std::string &content);
+
+/**
  * Process-wide counters for the atomic write path, for tests that
  * assert durability behaviour (each successful writeFileAtomic must
  * issue at least one data fsync before its rename).

@@ -1,5 +1,6 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstring>
@@ -26,7 +27,7 @@ needsEscape(char c)
 }
 
 void
-appendEscaped(std::string &out, const std::string &s)
+appendEscaped(std::string &out, std::string_view s)
 {
     out += '"';
     const char *run = s.data();
@@ -79,7 +80,12 @@ appendInt(std::string &out, std::int64_t v)
 
 } // namespace
 
-/** Recursive-descent parser over a string with line:column errors. */
+/**
+ * Recursive-descent parser over a string with line:column errors. One
+ * grammar serves two walks: parseValue<true> builds a value, and
+ * parseValue<false> checks one against the same code (numbers,
+ * escapes, duplicate keys, the nesting bound) without building it.
+ */
 class Json::Parser
 {
   public:
@@ -88,11 +94,22 @@ class Json::Parser
     {
     }
 
+    /**
+     * The whole document. A top-level object builds only the members
+     * whose key @p keep accepts; the rest are checked, not built.
+     */
+    template <class Keep>
     Json
-    document()
+    document(Keep keep)
     {
         skipWs();
-        Json value = parseValue();
+        Json value;
+        if (peek() == '{') {
+            const Level level(*this);
+            value = parseObject(keep);
+        } else {
+            value = parseValue<true>();
+        }
         skipWs();
         if (p_ != end_)
             fail("trailing characters after JSON document");
@@ -166,22 +183,47 @@ class Json::Parser
         return true;
     }
 
+    /** One object or array level: bounds the stack a document takes. */
+    class Level
+    {
+      public:
+        explicit Level(Parser &parser) : parser_(parser)
+        {
+            if (++parser_.depth_ > kMaxDepth)
+                parser_.fail("objects and arrays nest deeper than " +
+                             std::to_string(kMaxDepth) + " levels");
+        }
+        ~Level() { --parser_.depth_; }
+        Level(const Level &) = delete;
+        Level &operator=(const Level &) = delete;
+
+      private:
+        Parser &parser_;
+    };
+
+    /** A value; with Build false, checked and returned as null. */
+    template <bool Build>
     Json
     parseValue()
     {
-        const char c = peek();
-        if (c == '{' || c == '[') {
-            // Each level recurses once: bound the stack a document
-            // from outside can take.
-            if (++depth_ > kMaxDepth)
-                fail("objects and arrays nest deeper than " +
-                     std::to_string(kMaxDepth) + " levels");
-            Json value = c == '{' ? parseObject() : parseArray();
-            --depth_;
-            return value;
-        }
-        switch (c) {
-          case '"': return Json(parseString());
+        switch (peek()) {
+          case '{': {
+            const Level level(*this);
+            return parseObject([](std::string_view) { return Build; });
+          }
+          case '[': {
+            const Level level(*this);
+            return parseArray<Build>();
+          }
+          case '"': {
+            if constexpr (Build) {
+                std::string s;
+                parseString(&s);
+                return Json(std::move(s));
+            }
+            parseString(nullptr);
+            return Json();
+          }
           case 't':
             if (consumeWord("true"))
                 return Json(true);
@@ -194,12 +236,21 @@ class Json::Parser
             if (consumeWord("null"))
                 return Json();
             fail("invalid literal");
+          // Built either way: the conversion is part of the grammar
+          // (1e999 is out of range), and a number allocates nothing.
           default: return parseNumber();
         }
     }
 
+    /**
+     * An object whose members are built when @p keep accepts their key
+     * and checked otherwise. The keys of the members not built are
+     * kept, decoded, in skipped_ for the duplicate check, so "a" and
+     * "\u0061" collide whether built or not.
+     */
+    template <class Keep>
     Json
-    parseObject()
+    parseObject(Keep keep)
     {
         expect('{');
         Json obj = Json::object();
@@ -209,27 +260,57 @@ class Json::Parser
             ++p_;
             return obj;
         }
+        const std::size_t firstSkipped = skippedEnds_.size();
+        const std::size_t skippedBegin = skipped_.size();
         for (;;) {
             skipWs();
             if (peek() != '"')
                 fail("expected object key string");
-            std::string key = parseString();
-            for (const auto &member : members)
-                if (member.first == key)
-                    fail("duplicate object key \"" + key + "\"");
+            std::string key;
+            parseString(&key);
+            if (seen(key, members, firstSkipped, skippedBegin))
+                fail("duplicate object key \"" + key + "\"");
             skipWs();
             expect(':');
             skipWs();
-            members.emplace_back(std::move(key), parseValue());
+            if (keep(std::string_view(key))) {
+                members.emplace_back(std::move(key), parseValue<true>());
+            } else {
+                skipped_ += key;
+                skippedEnds_.push_back(skipped_.size());
+                parseValue<false>();
+            }
             skipWs();
             const char c = next();
-            if (c == '}')
+            if (c == '}') {
+                skipped_.resize(skippedBegin);
+                skippedEnds_.resize(firstSkipped);
                 return obj;
+            }
             if (c != ',')
                 fail("expected ',' or '}' in object");
         }
     }
 
+    /** True when the object being parsed already has @p key. */
+    bool
+    seen(std::string_view key, const Members &members,
+         std::size_t firstSkipped, std::size_t skippedBegin) const
+    {
+        for (const auto &member : members)
+            if (member.first == key)
+                return true;
+        std::size_t begin = skippedBegin;
+        for (std::size_t k = firstSkipped; k < skippedEnds_.size(); ++k) {
+            if (std::string_view(skipped_).substr(
+                    begin, skippedEnds_[k] - begin) == key)
+                return true;
+            begin = skippedEnds_[k];
+        }
+        return false;
+    }
+
+    template <bool Build>
     Json
     parseArray()
     {
@@ -243,7 +324,9 @@ class Json::Parser
         }
         for (;;) {
             skipWs();
-            items.push_back(parseValue());
+            Json item = parseValue<Build>();
+            if constexpr (Build)
+                items.push_back(std::move(item));
             skipWs();
             const char c = next();
             if (c == ']')
@@ -253,36 +336,38 @@ class Json::Parser
         }
     }
 
-    std::string
-    parseString()
+    /** A string, decoded onto @p out (checked only when null). */
+    void
+    parseString(std::string *out)
     {
         expect('"');
-        std::string out;
         for (;;) {
             // Append the run of bytes up to the next quote, backslash
             // or control character in one step.
             const char *run = p_;
             while (p_ != end_ && !needsEscape(*p_))
                 ++p_;
-            out.append(run, static_cast<std::size_t>(p_ - run));
+            if (out != nullptr)
+                out->append(run, static_cast<std::size_t>(p_ - run));
             const char c = peek();
             if (c == '"') {
                 ++p_;
-                return out;
+                return;
             }
             if (c != '\\')
                 fail("unescaped control character in string");
             ++p_;
             const char esc = next();
+            char decoded = 0;
             switch (esc) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
+              case '"': decoded = '"'; break;
+              case '\\': decoded = '\\'; break;
+              case '/': decoded = '/'; break;
+              case 'b': decoded = '\b'; break;
+              case 'f': decoded = '\f'; break;
+              case 'n': decoded = '\n'; break;
+              case 'r': decoded = '\r'; break;
+              case 't': decoded = '\t'; break;
               case 'u': {
                 std::uint32_t code = 0;
                 for (int i = 0; i < 4; ++i) {
@@ -297,23 +382,34 @@ class Json::Parser
                     else
                         fail("invalid \\u escape");
                 }
-                // UTF-8 encode the BMP code point (surrogate pairs are
-                // passed through as two 3-byte sequences; the writer
-                // only ever emits \u00xx control escapes).
-                if (code < 0x80) {
-                    out += static_cast<char>(code);
-                } else if (code < 0x800) {
-                    out += static_cast<char>(0xC0 | (code >> 6));
-                    out += static_cast<char>(0x80 | (code & 0x3F));
-                } else {
-                    out += static_cast<char>(0xE0 | (code >> 12));
-                    out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-                    out += static_cast<char>(0x80 | (code & 0x3F));
-                }
-                break;
+                if (out != nullptr)
+                    appendUtf8(*out, code);
+                continue;
               }
               default: fail("invalid escape sequence");
             }
+            if (out != nullptr)
+                *out += decoded;
+        }
+    }
+
+    /**
+     * UTF-8 encode a BMP code point (surrogate pairs are passed
+     * through as two 3-byte sequences; the writer only ever emits
+     * \u00xx control escapes).
+     */
+    static void
+    appendUtf8(std::string &out, std::uint32_t code)
+    {
+        if (code < 0x80) {
+            out += static_cast<char>(code);
+        } else if (code < 0x800) {
+            out += static_cast<char>(0xC0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+        } else {
+            out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
         }
     }
 
@@ -379,6 +475,13 @@ class Json::Parser
     const char *const end_;
     const char *p_;
     int depth_ = 0;
+    /**
+     * Decoded keys of the members checked but not built, back to back,
+     * for every object open on the stack.
+     */
+    std::string skipped_;
+    /** End offset in skipped_ of each of those keys. */
+    std::vector<std::size_t> skippedEnds_;
 };
 
 Json
@@ -410,7 +513,16 @@ Json::Json(bool v) : value_(std::in_place_type<bool>, v) {}
 Json
 Json::parse(const std::string &text)
 {
-    return Parser(text).document();
+    return Parser(text).document([](std::string_view) { return true; });
+}
+
+Json
+Json::parseMembers(const std::string &text,
+                   std::initializer_list<std::string_view> keys)
+{
+    return Parser(text).document([keys](std::string_view key) {
+        return std::find(keys.begin(), keys.end(), key) != keys.end();
+    });
 }
 
 Json
@@ -611,6 +723,33 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         break;
       }
     }
+}
+
+void
+JsonWriter::key(std::string_view key)
+{
+    if (out_.back() != '{')
+        out_ += ',';
+    appendEscaped(out_, key);
+    out_ += ':';
+}
+
+void
+JsonWriter::value(std::string_view s)
+{
+    appendEscaped(out_, s);
+}
+
+void
+JsonWriter::value(double v)
+{
+    appendDouble(out_, v);
+}
+
+void
+JsonWriter::value(std::int64_t v)
+{
+    appendInt(out_, v);
 }
 
 std::string

@@ -27,8 +27,10 @@
  */
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -61,6 +63,17 @@ class Json
      * and so does "-0" (the dump of the Double -0.0).
      */
     static Json parse(const std::string &text);
+
+    /**
+     * parse(), except that of a top-level object only the members
+     * named in @p keys are built. Every other member is checked against
+     * the same grammar (number rules, escapes, duplicate keys, the
+     * nesting bound) and dropped, so this throws exactly when parse()
+     * throws, with the same message. Any other top-level value parses
+     * whole. A job-cache hit reads its wrapper this way.
+     */
+    static Json parseMembers(const std::string &text,
+                             std::initializer_list<std::string_view> keys);
 
     /** parse() the contents of @p path. @throws ConfigError. */
     static Json load(const std::string &path);
@@ -127,6 +140,8 @@ class Json
     void write(const std::string &path, int indent = 2) const;
 
   private:
+    friend class JsonWriter;
+
     using Members = std::vector<std::pair<std::string, Json>>;
 
     /** The variant's alternative index, one per kind. */
@@ -150,6 +165,38 @@ class Json
     std::variant<std::monostate, Members, std::vector<Json>, std::string,
                  double, std::int64_t, bool>
         value_;
+};
+
+/**
+ * Streams the bytes of Json::dump(0) onto a string without building a
+ * Json tree. Keys and scalars go through the formatting dump() uses,
+ * so members written in a built document's order give its compact
+ * dump byte for byte (a job fingerprint hashes them). The caller keeps
+ * the shape well formed: key() only inside an object, one value after
+ * each key.
+ */
+class JsonWriter
+{
+  public:
+    explicit JsonWriter(std::string &out) : out_(out) {}
+
+    void beginObject() { out_ += '{'; }
+    void endObject() { out_ += '}'; }
+
+    /** The next member's key, after a ',' unless it is the first. */
+    void key(std::string_view key);
+
+    void value(const Json &value) { value.dumpTo(out_, 0, 0); }
+    void value(const std::string &s) { value(std::string_view(s)); }
+    void value(const char *s) { value(std::string_view(s)); }
+    void value(std::string_view s);
+    void value(double v);
+    void value(std::int64_t v);
+    void value(std::int32_t v) { value(static_cast<std::int64_t>(v)); }
+    void value(bool v) { out_ += v ? "true" : "false"; }
+
+  private:
+    std::string &out_;
 };
 
 } // namespace lsqca

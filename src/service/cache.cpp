@@ -75,16 +75,20 @@ ResultCache::fetchJob(const std::string &fingerprint) const
     // Outside the try: a malformed fingerprint is the caller's error,
     // not a miss.
     const std::string path = jobPathFor(fingerprint);
-    // One read and one parse. Validation doubles as corruption
-    // tolerance: with fsync'd atomic publishes a torn file should be
-    // impossible, but a shared cache directory can hold foreign bytes
-    // — treat anything that is not a well-formed lsqca-jobcache-v1
-    // wrapper as a miss rather than failing the campaign.
+    // One read and one parse that builds only the entry and the two
+    // fields checked below; the provenance is checked against the full
+    // grammar but not built, so a file Json::parse rejects is still a
+    // miss. Validation doubles as corruption tolerance: with fsync'd
+    // atomic publishes a torn file should be impossible, but a shared
+    // cache directory can hold foreign bytes — treat anything that is
+    // not a well-formed lsqca-jobcache-v1 wrapper as a miss rather
+    // than failing the campaign.
     try {
         const std::optional<std::string> text = fsutil::tryReadFile(path);
         if (!text)
             return Json(); // absent: the common miss, without a throw
-        Json doc = Json::parse(*text);
+        Json doc =
+            Json::parseMembers(*text, {"schema", "fingerprint", "entry"});
         if (!doc.isObject() || !doc.contains("schema") ||
             !doc.contains("fingerprint") || !doc.contains("entry"))
             return Json();

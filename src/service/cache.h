@@ -79,10 +79,12 @@ class ResultCache
 
     /**
      * The cached BENCH entry for @p fingerprint, or a null Json on a
-     * miss. A file that is unreadable or fails `lsqca-jobcache-v1`
-     * validation (foreign bytes in a shared directory) is treated as a
-     * miss — the cache must never block progress, and the next store
-     * heals the entry.
+     * miss. A file that is unreadable, that Json::parse would reject,
+     * or that fails `lsqca-jobcache-v1` validation (foreign bytes in a
+     * shared directory) is treated as a miss — the cache must never
+     * block progress, and the next store heals the entry. Reads the
+     * file once and builds only the entry; the provenance is checked,
+     * not built (Json::parseMembers).
      */
     Json fetchJob(const std::string &fingerprint) const;
 

@@ -8,6 +8,7 @@
 
 #include "api/serialize.h"
 #include "common/error.h"
+#include "common/fs.h"
 #include "sweep/fan_out.h"
 
 namespace lsqca {
@@ -277,7 +278,9 @@ writeBenchJson(const std::string &benchName, const Json &doc,
                const std::string &outDir)
 {
     const std::string path = outDir + "/BENCH_" + benchName + ".json";
-    doc.write(path);
+    // Replace, never truncate in place: a reader (or a run killed
+    // mid-write) sees the old document or the new one.
+    fsutil::replaceFile(path, doc.dump());
     return path;
 }
 

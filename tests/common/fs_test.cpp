@@ -62,6 +62,24 @@ TEST(WriteFileAtomic, FsyncsDataBeforeEveryPublish)
     EXPECT_EQ(readFile(dir + "/a.json"), "{\"a\":1}\n");
 }
 
+TEST(ReplaceFile, RenamesOverTheTargetWithoutFsyncs)
+{
+    const std::string dir = scratchDir("replace");
+    const std::string path = dir + "/sub/BENCH_x.json";
+    replaceFile(path, "old\n");
+    // A hard link keeps the old inode: a replace renames a new file
+    // over the name, where an in-place rewrite would truncate it.
+    stdfs::create_hard_link(path, dir + "/old-link");
+    const AtomicWriteStats before = atomicWriteStats();
+    replaceFile(path, "new\n");
+    const AtomicWriteStats after = atomicWriteStats();
+    EXPECT_EQ(readFile(path), "new\n");
+    EXPECT_EQ(readFile(dir + "/old-link"), "old\n");
+    EXPECT_EQ(after.writes, before.writes);
+    EXPECT_EQ(after.fsyncs, before.fsyncs);
+    EXPECT_TRUE(stagingLeaks(dir + "/sub").empty());
+}
+
 TEST(WriteFileAtomic, ConcurrentSamePathWritersNeverTearOrLeak)
 {
     const std::string dir = scratchDir("race");

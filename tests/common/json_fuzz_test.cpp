@@ -13,6 +13,10 @@
  *    throw a ConfigError.
  *  - Position: that ConfigError names a line:column inside the text
  *    (at most one past its last byte).
+ *  - One grammar: Json::parseMembers, which builds only some top-level
+ *    members and checks the rest, throws exactly when parse() does,
+ *    with the same message, and otherwise returns parse()'s kept
+ *    members.
  *
  * The default seed set keeps the discovered ctest run CI-sized; the
  * fuzz-labeled `common_json_fuzz` entry re-runs it with
@@ -22,12 +26,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include "common/error.h"
 #include "common/json.h"
@@ -236,6 +242,70 @@ TEST_P(JsonFuzz, MutatedDumpsParseOrThrowConfigErrorWithPosition)
         } catch (...) {
             ADD_FAILURE() << "seed " << GetParam() << " round " << round
                           << ": unknown exception\n" << text;
+        }
+    }
+}
+
+/** parse()'s result with only the top-level members in @p keys. */
+Json
+keepOnly(const Json &doc, std::initializer_list<std::string_view> keys)
+{
+    if (!doc.isObject())
+        return doc;
+    Json kept = Json::object();
+    for (const auto &[key, value] : doc.members())
+        if (std::find(keys.begin(), keys.end(), key) != keys.end())
+            kept.set(key, value);
+    return kept;
+}
+
+TEST_P(JsonFuzz, ParseMembersThrowsExactlyWhenParseDoes)
+{
+    // Mutations of documents shaped like a job-cache wrapper: a kept
+    // member or two beside a large checked-only one.
+    static const char kInsert[] = "{}[]\":,\\-+.eE0123456789 \n\tuk\x01";
+    Rng rng(fuzzSeed(GetParam(), 0x6b656570));
+    for (int round = 0; round < 48; ++round) {
+        Json doc = Json::object();
+        doc.set("k", randomDocument(rng));
+        doc.set("skip", randomDocument(rng));
+        if (rng.chance(0.5))
+            doc.set(randomString(rng), randomDocument(rng));
+        doc.set("entry", randomDocument(rng));
+        std::string text = doc.dump(rng.chance(0.5) ? 2 : 0);
+        const std::uint64_t edits = rng.below(4);
+        for (std::uint64_t e = 0; e < edits && !text.empty(); ++e) {
+            const std::size_t at = rng.below(text.size());
+            switch (rng.below(4)) {
+              case 0: text.erase(at, 1); break;
+              case 1:
+                text.insert(at, 1,
+                            kInsert[rng.below(sizeof kInsert - 1)]);
+                break;
+              case 2:
+                text[at] = static_cast<char>(text[at] ^
+                                             (1 << rng.below(8)));
+                break;
+              default: text.resize(at); break;
+            }
+        }
+        std::string parseError, membersError;
+        Json parsed, members;
+        try {
+            parsed = Json::parse(text);
+        } catch (const ConfigError &e) {
+            parseError = e.what();
+        }
+        try {
+            members = Json::parseMembers(text, {"k", "entry"});
+        } catch (const ConfigError &e) {
+            membersError = e.what();
+        }
+        ASSERT_EQ(membersError, parseError)
+            << "seed " << GetParam() << " round " << round << "\n" << text;
+        if (parseError.empty()) {
+            EXPECT_EQ(members, keepOnly(parsed, {"k", "entry"}))
+                << "seed " << GetParam() << " round " << round;
         }
     }
 }

@@ -180,6 +180,59 @@ TEST(JsonParse, RejectsDuplicateKeys)
     EXPECT_THROW(Json::parse(R"({"a": 1, "a": 2})"), ConfigError);
 }
 
+TEST(JsonParseMembers, BuildsOnlyTheNamedTopLevelMembers)
+{
+    const std::string text =
+        R"({"schema": "s", "provenance": {"a": [1, 2.5, "x\n"]}, )"
+        R"("entry": {"cpi": 1.5}})";
+    const Json doc = Json::parseMembers(text, {"schema", "entry"});
+    EXPECT_EQ(doc.dump(0), R"({"schema":"s","entry":{"cpi":1.5}})");
+    // Not an object: the whole value, as parse() gives it.
+    EXPECT_EQ(Json::parseMembers("[1, {\"a\": 2}]", {"entry"}),
+              Json::parse("[1, {\"a\": 2}]"));
+}
+
+TEST(JsonParseMembers, ChecksTheSkippedMembersAgainstTheFullGrammar)
+{
+    const auto wrapped = [](const std::string &provenance) {
+        return "{\"provenance\": " + provenance + ", \"entry\": 1}";
+    };
+    // The wrapping object is one level of the 1,000.
+    const std::string deep = std::string(999, '[') + std::string(999, ']');
+    const std::string tooDeep =
+        std::string(1000, '[') + std::string(1000, ']');
+    EXPECT_NO_THROW(Json::parseMembers(wrapped(deep), {"entry"}));
+    // Everything parse() rejects, each inside a member that is checked
+    // but not built: the same error, with the same message.
+    for (const std::string &bad :
+         {tooDeep, std::string(R"({"a": 1, "a": 2})"),
+          std::string(R"({"a": 1, "\u0061": 2})"),
+          std::string(R"({"x": {"a": 1, "\u0061": 2}})"),
+          std::string(R"(["\x"])"), std::string(R"(["\u12g4"])"),
+          std::string("[\"\x01\"]"), std::string("[01]"),
+          std::string("[1.]"), std::string("[1e999]"), std::string("[tru]"),
+          std::string("{\"a\" 1}"), std::string("[1, ]"),
+          std::string("{\"a\": 1")}) {
+        std::string parseError, membersError;
+        try {
+            Json::parse(wrapped(bad));
+        } catch (const ConfigError &e) {
+            parseError = e.what();
+        }
+        try {
+            Json::parseMembers(wrapped(bad), {"entry"});
+        } catch (const ConfigError &e) {
+            membersError = e.what();
+        }
+        EXPECT_FALSE(parseError.empty()) << bad.substr(0, 40);
+        EXPECT_EQ(membersError, parseError) << bad.substr(0, 40);
+    }
+    // A duplicate between a kept and a skipped top-level key.
+    EXPECT_THROW(
+        Json::parseMembers(R"({"entry": 1, "\u0065ntry": 2})", {"entry"}),
+        ConfigError);
+}
+
 TEST(JsonParse, ErrorsCarryPosition)
 {
     try {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -169,6 +170,81 @@ TEST(JobFingerprints, MatchRecordedValues)
               "baa96c4c5c2647d1");
     EXPECT_EQ(fingerprintOf(fig14, "SELECT/line#4/h1.00/f4", true),
               "67af3f7af724710b");
+    // A translate patch (in_memory_ops false), and a whole program
+    // (max_instructions 0).
+    const SweepSpec ablation = api::specs::ablation();
+    EXPECT_EQ(fingerprintOf(ablation,
+                            "multiplier/no in-memory ops (LD/ST "
+                            "everywhere)/point#1",
+                            true),
+              "9dd0d49f6a6c85fb");
+    const SweepSpec fig15Full = api::specs::fig15(true);
+    EXPECT_EQ(fingerprintOf(fig15Full, "SELECT21/point#1/f1", true),
+              "2c430ee0581f7808");
+}
+
+/**
+ * tests/golden/jobcache holds `lsqca-jobcache-v1` files and the
+ * `--no-timing` BENCH documents of three shards, written by an earlier
+ * build (`lsqca run <spec> --no-timing --shard i/N --job-cache`): a
+ * cache filled by an older binary must keep serving every entry with
+ * the bytes it recorded.
+ */
+TEST(RecordedJobCache, ServesEveryEntryWithTheRecordedBytes)
+{
+    const std::string golden = LSQCA_SOURCE_DIR "/tests/golden/jobcache";
+    const std::string dir = test::scratchDir("recorded");
+    // A copy: a miss would store into the cache it runs against.
+    std::filesystem::copy(golden, dir + "/cache",
+                          std::filesystem::copy_options::recursive);
+    const ResultCache cache(dir + "/cache");
+    struct Recorded
+    {
+        SweepSpec spec;
+        const char *shard;
+        const char *bench;
+    };
+    const Recorded recorded[] = {
+        {api::specs::fig14(), "0/85", "BENCH_fig14.shard0of85.json"},
+        {api::specs::ablation(), "1/23", "BENCH_ablation.shard1of23.json"},
+        {api::specs::fig15(true), "0/27", "BENCH_fig15.shard0of27.json"},
+    };
+    std::size_t served = 0;
+    for (const Recorded &r : recorded) {
+        SCOPED_TRACE(r.bench);
+        const std::string benchBytes =
+            fsutil::readFile(golden + "/" + r.bench);
+        const Json entries = Json::parse(benchBytes).at("entries");
+        BenchmarkRegistry registry = BenchmarkRegistry::paper();
+        const auto jobs = api::expandSpec(r.spec, registry);
+        const auto [begin, end] =
+            api::ShardRange::parse(r.shard).bounds(jobs.size());
+        const std::vector<api::ExpandedJob> slice(
+            jobs.begin() + static_cast<std::ptrdiff_t>(begin),
+            jobs.begin() + static_cast<std::ptrdiff_t>(end));
+        const auto prints = api::jobFingerprints(r.spec, slice, true);
+        ASSERT_EQ(prints.size(), entries.size());
+        for (std::size_t i = 0; i < prints.size(); ++i) {
+            const Json entry = cache.fetchJob(prints[i]);
+            ASSERT_FALSE(entry.isNull()) << slice[i].name;
+            EXPECT_EQ(entry.dump(2), entries.items()[i].dump(2))
+                << slice[i].name;
+        }
+        served += prints.size();
+
+        // Spliced whole, the shard's BENCH bytes are the recorded ones.
+        JobCacheAdapter adapter(cache);
+        api::RunSpecOptions options;
+        options.threads = 1;
+        options.outDir = dir + "/out";
+        options.noTiming = true;
+        options.shard = api::ShardRange::parse(r.shard);
+        options.jobCache = &adapter;
+        const api::SpecRun run = api::runSpec(r.spec, registry, options);
+        EXPECT_EQ(run.jobsComputed, 0);
+        EXPECT_EQ(fsutil::readFile(run.jsonPath), benchBytes);
+    }
+    EXPECT_EQ(served, cache.jobCount());
 }
 
 TEST(RunSpec, JobCacheSplicesByteIdenticallyAndHealsDroppedEntries)

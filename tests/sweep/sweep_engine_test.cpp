@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -14,6 +15,7 @@
 #include "api/spec.h"
 #include "circuit/lowering.h"
 #include "common/error.h"
+#include "common/fs.h"
 #include "sim/collectors/jsonl_writer.h"
 #include "synth/benchmarks.h"
 #include "translate/translate.h"
@@ -519,6 +521,29 @@ TEST(SweepEngine, BenchReportSchema)
     EXPECT_NE(text.find("\"cpi\":"), std::string::npos);
     EXPECT_NE(text.find("\"exec_beats\":"), std::string::npos);
     EXPECT_NE(text.find("\"wall_seconds\":"), std::string::npos);
+}
+
+TEST(WriteBenchJson, ReplacesTheDocumentInsteadOfTruncatingIt)
+{
+    namespace stdfs = std::filesystem;
+    const std::string dir = ::testing::TempDir() + "lsqca_bench_replace";
+    stdfs::remove_all(dir);
+    const Json first = Json::object().set("run", 1);
+    const std::string path = writeBenchJson("x", first, dir);
+    EXPECT_EQ(fsutil::readFile(path), first.dump());
+    // A reader holding the old document (here a hard link to its
+    // inode) keeps its bytes: the rewrite renames a new file over the
+    // name instead of truncating the old one in place.
+    stdfs::create_hard_link(path, dir + "/held");
+    const Json second = Json::object().set("run", 2);
+    EXPECT_EQ(writeBenchJson("x", second, dir), path);
+    EXPECT_EQ(fsutil::readFile(path), second.dump());
+    EXPECT_EQ(fsutil::readFile(dir + "/held"), first.dump());
+    std::vector<std::string> names;
+    for (const auto &item : stdfs::directory_iterator(dir))
+        names.push_back(item.path().filename().string());
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{"BENCH_x.json", "held"}));
 }
 
 } // namespace
