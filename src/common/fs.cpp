@@ -127,14 +127,33 @@ readFile(const std::string &path)
 
 namespace {
 
+/** write(2) all of @p content to @p fd; false on an error. */
+bool
+writeAll(int fd, const std::string &content)
+{
+    std::size_t written = 0;
+    while (written < content.size()) {
+        const ::ssize_t n =
+            ::write(fd, content.data() + written, content.size() - written);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        written += static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
 /**
- * Stage @p content in a uniquely named temp sibling of @p path and
- * rename it over @p path; with @p durable, fsync the bytes before the
- * rename and the directory after it.
+ * Stage @p content in a uniquely named temp sibling of @p path, created
+ * with @p mode (less the umask), and rename it over @p path; with
+ * @p durable, fsync the bytes before the rename and the directory
+ * after it.
  */
 void
 publishFile(const std::string &path, const std::string &content,
-            bool durable)
+            bool durable, ::mode_t mode)
 {
     const stdfs::path target(path);
     if (target.has_parent_path()) {
@@ -150,20 +169,12 @@ publishFile(const std::string &path, const std::string &content,
         std::to_string(gStagingCounter.fetch_add(1,
                                                  std::memory_order_relaxed));
     const int fd = ::open(tmp.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, mode);
     LSQCA_REQUIRE(fd >= 0, "cannot write " + tmp);
-    std::size_t written = 0;
-    while (written < content.size()) {
-        const ::ssize_t n =
-            ::write(fd, content.data() + written, content.size() - written);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            ::close(fd);
-            removeFile(tmp);
-            LSQCA_REQUIRE(false, "error while writing " + tmp);
-        }
-        written += static_cast<std::size_t>(n);
+    if (!writeAll(fd, content)) {
+        ::close(fd);
+        removeFile(tmp);
+        LSQCA_REQUIRE(false, "error while writing " + tmp);
     }
     // Durability half of "atomic": the bytes must be on stable storage
     // BEFORE rename() publishes the name, or a crash shortly after the
@@ -199,13 +210,25 @@ publishFile(const std::string &path, const std::string &content,
 void
 writeFileAtomic(const std::string &path, const std::string &content)
 {
-    publishFile(path, content, true);
+    publishFile(path, content, true, 0644);
 }
 
 void
 replaceFile(const std::string &path, const std::string &content)
 {
-    publishFile(path, content, false);
+    // A rename would replace a symlink or a device node itself, so
+    // such a path is written through in place.
+    struct stat info {};
+    if (::lstat(path.c_str(), &info) != 0 || S_ISREG(info.st_mode)) {
+        publishFile(path, content, false, 0666);
+        return;
+    }
+    const int fd =
+        ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+    LSQCA_REQUIRE(fd >= 0, "cannot write " + path);
+    const bool wrote = writeAll(fd, content);
+    const bool closed = ::close(fd) == 0;
+    LSQCA_REQUIRE(wrote && closed, "error while writing " + path);
 }
 
 AtomicWriteStats

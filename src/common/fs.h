@@ -53,8 +53,13 @@ void writeFileAtomic(const std::string &path, const std::string &content);
  * writeFileAtomic() without the fsyncs: the bytes land in the same
  * uniquely named temp sibling and rename() replaces @p path, so a
  * reader or a killed writer never sees a torn or truncated file, but
- * the new version may not survive a crash of the machine. For
- * documents a run can rewrite (BENCH output). @throws ConfigError.
+ * the new version may not survive a crash of the machine. Json::write()
+ * writes every document through here. The file is created with mode
+ * 0666 less the umask, as std::ofstream creates one, and a new inode
+ * replaces the old, so a hard link to the old version keeps its bytes.
+ * A @p path that is a symlink or not a regular file (/dev/null) is
+ * written through in place instead, since a rename would replace the
+ * link or the device node itself. @throws ConfigError.
  */
 void replaceFile(const std::string &path, const std::string &content);
 

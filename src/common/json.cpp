@@ -4,8 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <type_traits>
 #include <utility>
 
@@ -268,12 +266,13 @@ class Json::Parser
                 fail("expected object key string");
             std::string key;
             parseString(&key);
-            if (seen(key, members, firstSkipped, skippedBegin))
+            const bool built = keep(std::string_view(key));
+            if (seen(key, built, members, firstSkipped, skippedBegin))
                 fail("duplicate object key \"" + key + "\"");
             skipWs();
             expect(':');
             skipWs();
-            if (keep(std::string_view(key))) {
+            if (built) {
                 members.emplace_back(std::move(key), parseValue<true>());
             } else {
                 skipped_ += key;
@@ -292,14 +291,21 @@ class Json::Parser
         }
     }
 
-    /** True when the object being parsed already has @p key. */
+    /**
+     * True when the object being parsed already has @p key. keep()
+     * reads only the key, so a key @p built can only repeat a built
+     * member, and a skipped one only a skipped key.
+     */
     bool
-    seen(std::string_view key, const Members &members,
+    seen(std::string_view key, bool built, const Members &members,
          std::size_t firstSkipped, std::size_t skippedBegin) const
     {
-        for (const auto &member : members)
-            if (member.first == key)
-                return true;
+        if (built) {
+            for (const auto &member : members)
+                if (member.first == key)
+                    return true;
+            return false;
+        }
         std::size_t begin = skippedBegin;
         for (std::size_t k = firstSkipped; k < skippedEnds_.size(); ++k) {
             if (std::string_view(skipped_).substr(
@@ -765,15 +771,7 @@ Json::dump(int indent) const
 void
 Json::write(const std::string &path, int indent) const
 {
-    const std::filesystem::path p(path);
-    if (p.has_parent_path()) {
-        std::error_code ec;
-        std::filesystem::create_directories(p.parent_path(), ec);
-    }
-    std::ofstream file(path);
-    LSQCA_REQUIRE(file.good(), "cannot open for writing: " + path);
-    file << dump(indent);
-    LSQCA_REQUIRE(file.good(), "write failed: " + path);
+    fsutil::replaceFile(path, dump(indent));
 }
 
 } // namespace lsqca

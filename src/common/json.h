@@ -136,7 +136,12 @@ class Json
     /** Serialized document; @p indent = 0 gives compact output. */
     std::string dump(int indent = 2) const;
 
-    /** dump() to @p path, creating parent directories as needed. */
+    /**
+     * dump() to @p path through fsutil::replaceFile(): parent
+     * directories are created, and an existing file is replaced by
+     * rename, never truncated in place, so a reader or a killed writer
+     * sees the old document or the new one.
+     */
     void write(const std::string &path, int indent = 2) const;
 
   private:

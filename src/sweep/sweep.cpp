@@ -8,7 +8,6 @@
 
 #include "api/serialize.h"
 #include "common/error.h"
-#include "common/fs.h"
 #include "sweep/fan_out.h"
 
 namespace lsqca {
@@ -278,9 +277,7 @@ writeBenchJson(const std::string &benchName, const Json &doc,
                const std::string &outDir)
 {
     const std::string path = outDir + "/BENCH_" + benchName + ".json";
-    // Replace, never truncate in place: a reader (or a run killed
-    // mid-write) sees the old document or the new one.
-    fsutil::replaceFile(path, doc.dump());
+    doc.write(path);
     return path;
 }
 

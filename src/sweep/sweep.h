@@ -138,8 +138,8 @@ Json benchDocument(const std::string &benchName, Json entries,
 /**
  * Write @p doc to `<outDir>/BENCH_<benchName>.json` and return the
  * path. @p outDir defaults to "bench/out" under the current directory.
- * The document replaces an existing one by rename (fsutil::replaceFile),
- * so no reader ever sees it torn or truncated.
+ * Json::write() replaces an existing document by rename, so no reader
+ * ever sees it torn or truncated.
  */
 std::string writeBenchJson(const std::string &benchName, const Json &doc,
                            const std::string &outDir = "bench/out");

@@ -15,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
+
 #include "common/error.h"
 #include "common/fs.h"
 
@@ -78,6 +80,26 @@ TEST(ReplaceFile, RenamesOverTheTargetWithoutFsyncs)
     EXPECT_EQ(after.writes, before.writes);
     EXPECT_EQ(after.fsyncs, before.fsyncs);
     EXPECT_TRUE(stagingLeaks(dir + "/sub").empty());
+}
+
+TEST(ReplaceFile, CreatesWithTheUmaskModeAndWritesThroughASymlink)
+{
+    const std::string dir = scratchDir("mode");
+    // Created 0666 less the umask, as std::ofstream creates a file: a
+    // group-writable umask keeps group write.
+    const ::mode_t saved = ::umask(002);
+    replaceFile(dir + "/doc.json", "v1\n");
+    ::umask(saved);
+    EXPECT_EQ(stdfs::status(dir + "/doc.json").permissions() &
+                  stdfs::perms::all,
+              static_cast<stdfs::perms>(0664));
+    // A rename would replace the link itself, so a symlinked document
+    // is written through in place and the link stays a link.
+    stdfs::create_symlink("doc.json", dir + "/link.json");
+    replaceFile(dir + "/link.json", "v2\n");
+    EXPECT_TRUE(stdfs::is_symlink(stdfs::symlink_status(dir + "/link.json")));
+    EXPECT_EQ(readFile(dir + "/doc.json"), "v2\n");
+    EXPECT_TRUE(stagingLeaks(dir).empty());
 }
 
 TEST(WriteFileAtomic, ConcurrentSamePathWritersNeverTearOrLeak)
