@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstring>
@@ -17,11 +18,35 @@ static_assert(std::is_nothrow_move_constructible_v<Json>);
 
 namespace {
 
+/** Byte classes, so each scanning loop tests a byte with one load. */
+enum : unsigned char
+{
+    kWhitespace = 1, ///< ' ', '\t', '\n' and '\r' between tokens
+    kEscaped = 2,    ///< '"', '\\' and the control bytes below 0x20
+};
+
+constexpr std::array<unsigned char, 256> kByteClass = [] {
+    std::array<unsigned char, 256> classes{};
+    for (int c = 0; c < 0x20; ++c)
+        classes[c] = kEscaped;
+    classes['"'] = kEscaped;
+    classes['\\'] = kEscaped;
+    for (const char c : {' ', '\t', '\n', '\r'})
+        classes[static_cast<unsigned char>(c)] |= kWhitespace;
+    return classes;
+}();
+
+inline bool
+isClass(char c, unsigned char byteClass)
+{
+    return (kByteClass[static_cast<unsigned char>(c)] & byteClass) != 0;
+}
+
 /** True for the bytes a JSON string must escape. */
 inline bool
 needsEscape(char c)
 {
-    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+    return isClass(c, kEscaped);
 }
 
 void
@@ -92,6 +117,13 @@ class Json::Parser
     {
     }
 
+    /** A keep() that builds every member of an object, or none. */
+    template <bool Build>
+    struct All
+    {
+        bool operator()(std::string_view) const { return Build; }
+    };
+
     /**
      * The whole document. A top-level object builds only the members
      * whose key @p keep accepts; the rest are checked, not built.
@@ -157,9 +189,10 @@ class Json::Parser
     void
     skipWs()
     {
-        while (p_ != end_ &&
-               (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r'))
-            ++p_;
+        const char *p = p_;
+        while (p != end_ && isClass(*p, kWhitespace))
+            ++p;
+        p_ = p;
     }
 
     void
@@ -207,7 +240,7 @@ class Json::Parser
         switch (peek()) {
           case '{': {
             const Level level(*this);
-            return parseObject([](std::string_view) { return Build; });
+            return parseObject(All<Build>{});
           }
           case '[': {
             const Level level(*this);
@@ -216,10 +249,10 @@ class Json::Parser
           case '"': {
             if constexpr (Build) {
                 std::string s;
-                parseString(&s);
+                parseString<true>(&s);
                 return Json(std::move(s));
             }
-            parseString(nullptr);
+            parseString<false>(nullptr);
             return Json();
           }
           case 't':
@@ -244,7 +277,8 @@ class Json::Parser
      * An object whose members are built when @p keep accepts their key
      * and checked otherwise. The keys of the members not built are
      * kept, decoded, in skipped_ for the duplicate check, so "a" and
-     * "\u0061" collide whether built or not.
+     * "\u0061" collide whether built or not; in an object that builds
+     * nothing, a key is decoded straight onto skipped_.
      */
     template <class Keep>
     Json
@@ -258,6 +292,7 @@ class Json::Parser
             ++p_;
             return obj;
         }
+        constexpr bool kCheckOnly = std::is_same_v<Keep, All<false>>;
         const std::size_t firstSkipped = skippedEnds_.size();
         const std::size_t skippedBegin = skipped_.size();
         for (;;) {
@@ -265,17 +300,27 @@ class Json::Parser
             if (peek() != '"')
                 fail("expected object key string");
             std::string key;
-            parseString(&key);
-            const bool built = keep(std::string_view(key));
-            if (seen(key, built, members, firstSkipped, skippedBegin))
-                fail("duplicate object key \"" + key + "\"");
+            std::string_view decoded;
+            if constexpr (kCheckOnly) {
+                const std::size_t keyBegin = skipped_.size();
+                parseString<true>(&skipped_);
+                decoded = std::string_view(skipped_).substr(keyBegin);
+            } else {
+                parseString<true>(&key);
+                decoded = key;
+            }
+            const bool built = keep(decoded);
+            if (seen(decoded, built, members, firstSkipped, skippedBegin))
+                fail("duplicate object key \"" + std::string(decoded) +
+                     "\"");
             skipWs();
             expect(':');
             skipWs();
             if (built) {
                 members.emplace_back(std::move(key), parseValue<true>());
             } else {
-                skipped_ += key;
+                if constexpr (!kCheckOnly)
+                    skipped_ += key;
                 skippedEnds_.push_back(skipped_.size());
                 parseValue<false>();
             }
@@ -342,18 +387,21 @@ class Json::Parser
         }
     }
 
-    /** A string, decoded onto @p out (checked only when null). */
+    /** A string, decoded onto @p out when Build (checked otherwise). */
+    template <bool Build>
     void
-    parseString(std::string *out)
+    parseString([[maybe_unused]] std::string *out)
     {
         expect('"');
         for (;;) {
             // Append the run of bytes up to the next quote, backslash
             // or control character in one step.
-            const char *run = p_;
-            while (p_ != end_ && !needsEscape(*p_))
-                ++p_;
-            if (out != nullptr)
+            const char *const run = p_;
+            const char *p = p_;
+            while (p != end_ && !needsEscape(*p))
+                ++p;
+            p_ = p;
+            if constexpr (Build)
                 out->append(run, static_cast<std::size_t>(p_ - run));
             const char c = peek();
             if (c == '"') {
@@ -388,13 +436,13 @@ class Json::Parser
                     else
                         fail("invalid \\u escape");
                 }
-                if (out != nullptr)
+                if constexpr (Build)
                     appendUtf8(*out, code);
                 continue;
               }
               default: fail("invalid escape sequence");
             }
-            if (out != nullptr)
+            if constexpr (Build)
                 *out += decoded;
         }
     }
@@ -519,7 +567,7 @@ Json::Json(bool v) : value_(std::in_place_type<bool>, v) {}
 Json
 Json::parse(const std::string &text)
 {
-    return Parser(text).document([](std::string_view) { return true; });
+    return Parser(text).document(Parser::All<true>{});
 }
 
 Json
